@@ -11,9 +11,13 @@
 //! * **selection** rows (`select_*`): the retained linear-scan selectors
 //!   (`commsched_core::select_scan`, O(cluster size) per placement) vs the
 //!   production free-count-index descent, on the exascale presets up to
-//!   the 1,048,576-node dragonfly.
+//!   the 1,048,576-node dragonfly;
+//! * the **state** row (`state_mira_3k`): one `ClusterState::allocate` +
+//!   `release` round trip of a 3,072-node list in selector order on the
+//!   half-occupied Mira preset. It has no retained twin; the row exists
+//!   so `--check` guards the per-leaf batched counter moves.
 //!
-//! Medians of `ITERS` single placements, in nanoseconds.
+//! Medians of `ITERS` single operations, in nanoseconds.
 //!
 //! ```text
 //! cargo run --release -p commsched-bench --bin bench_engine [out.json]
@@ -60,17 +64,21 @@ fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One measured row: a fast path against its retained-naive baseline.
+/// One measured row: a fast path against its retained-naive baseline,
+/// if it has one.
 struct Row {
     label: String,
-    /// `"placement"` (evaluator fast-vs-naive) or `"selection"`
-    /// (index-vs-scan).
+    /// `"placement"` (evaluator fast-vs-naive), `"selection"`
+    /// (index-vs-scan) or `"state"` (no baseline).
     kind: &'static str,
     nodes: usize,
     want: usize,
-    naive_ns: f64,
+    naive_ns: Option<f64>,
     fast_ns: f64,
 }
+
+/// Node count of the state-mutation row: a large Mira job.
+const STATE_WANT: usize = 3072;
 
 /// Request size for the pure-selection rows: a typical job from the
 /// paper's workloads. Selection output is proportional to the request, so
@@ -124,7 +132,7 @@ fn measure() -> Vec<Row> {
                 kind: "placement",
                 nodes,
                 want,
-                naive_ns,
+                naive_ns: Some(naive_ns),
                 fast_ns,
             });
         }
@@ -147,11 +155,36 @@ fn measure() -> Vec<Row> {
             kind: "selection",
             nodes,
             want: SELECT_WANT,
-            naive_ns: scan_ns,
+            naive_ns: Some(scan_ns),
             fast_ns: indexed_ns,
         });
     }
+    rows.push(measure_state());
     rows
+}
+
+/// Time the state-mutation row: allocate + release of [`STATE_WANT`]
+/// selector-ordered nodes on the half-occupied Mira preset. Each round
+/// trip restores the state, which is checked before timing.
+fn measure_state() -> Row {
+    let mut case = PlacementCase::new(SystemPreset::Mira, STATE_WANT);
+    let nodes = case.leaf_ordered_nodes(STATE_WANT);
+    let before = case.state.clone();
+    case.allocate_release(&nodes);
+    assert_eq!(
+        case.state, before,
+        "state_mira_3k: round trip changed the state"
+    );
+    case.state.check_invariants(&case.tree).unwrap();
+    let fast_ns = median_ns(ITERS, || case.allocate_release(&nodes));
+    Row {
+        label: "state_mira_3k".to_string(),
+        kind: "state",
+        nodes: case.tree.num_nodes(),
+        want: STATE_WANT,
+        naive_ns: None,
+        fast_ns,
+    }
 }
 
 /// Measure annealed-search throughput: whole seeded searches on the Theta
@@ -201,7 +234,7 @@ fn check_gate(rows: &[Row]) {
         .iter()
         .find(|r| r.label == GATE_CASE)
         .unwrap_or_else(|| panic!("gate case {GATE_CASE} was not measured"));
-    let speedup = gate.naive_ns / gate.fast_ns;
+    let speedup = gate.naive_ns.map_or(0.0, |naive| naive / gate.fast_ns);
     if speedup < GATE_MIN_SPEEDUP {
         eprintln!(
             "gate FAILED: {GATE_CASE} indexed selection is only {speedup:.2}x over the \
@@ -243,19 +276,30 @@ fn main() {
             naive_ns,
             fast_ns,
         } = row;
-        let speedup = naive_ns / fast_ns;
-        let baseline_key = if *kind == "selection" {
-            "scan_median_ns"
-        } else {
-            "naive_median_ns"
+        let fields = match naive_ns {
+            Some(naive_ns) => {
+                let speedup = naive_ns / fast_ns;
+                let baseline_key = if *kind == "selection" {
+                    "scan_median_ns"
+                } else {
+                    "naive_median_ns"
+                };
+                eprintln!(
+                    "{label}: baseline {:.1} µs, fast {:.1} µs, speedup {speedup:.1}x",
+                    naive_ns / 1e3,
+                    fast_ns / 1e3
+                );
+                format!(
+                    "      \"{baseline_key}\": {naive_ns:.0},\n      \"fast_median_ns\": {fast_ns:.0},\n      \"speedup\": {speedup:.2}"
+                )
+            }
+            None => {
+                eprintln!("{label}: {:.1} µs", fast_ns / 1e3);
+                format!("      \"fast_median_ns\": {fast_ns:.0}")
+            }
         };
-        eprintln!(
-            "{label}: baseline {:.1} µs, fast {:.1} µs, speedup {speedup:.1}x",
-            naive_ns / 1e3,
-            fast_ns / 1e3
-        );
         entries.push(format!(
-            "    {{\n      \"case\": \"{label}\",\n      \"kind\": \"{kind}\",\n      \"nodes\": {nodes},\n      \"request\": {want},\n      \"{baseline_key}\": {naive_ns:.0},\n      \"fast_median_ns\": {fast_ns:.0},\n      \"speedup\": {speedup:.2}\n    }}"
+            "    {{\n      \"case\": \"{label}\",\n      \"kind\": \"{kind}\",\n      \"nodes\": {nodes},\n      \"request\": {want},\n{fields}\n    }}"
         ));
     }
 
@@ -267,7 +311,7 @@ fn main() {
     // lives outside `results` (the regression checker compares
     // `fast_median_ns` entries; the SA floor is re-measured live instead).
     let json = format!(
-        "{{\n  \"bench\": \"placement evaluation (fast vs retained-naive) and node selection (free-count index vs retained linear scan)\",\n  \"iters\": {ITERS},\n  \"gate\": {{\n    \"case\": \"{GATE_CASE}\",\n    \"min_speedup\": {GATE_MIN_SPEEDUP:.1}\n  }},\n  \"sa\": {{\n    \"case\": \"sa_theta_256\",\n    \"budget\": {SA_BUDGET},\n    \"searches\": {ITERS},\n    \"sa_evals_per_sec\": {sa_eps:.0},\n    \"min_evals_per_sec\": {SA_MIN_EVALS_PER_SEC:.0}\n  }},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"placement evaluation (fast vs retained-naive), node selection (free-count index vs retained linear scan) and state mutation (allocate + release)\",\n  \"iters\": {ITERS},\n  \"gate\": {{\n    \"case\": \"{GATE_CASE}\",\n    \"min_speedup\": {GATE_MIN_SPEEDUP:.1}\n  }},\n  \"sa\": {{\n    \"case\": \"sa_theta_256\",\n    \"budget\": {SA_BUDGET},\n    \"searches\": {ITERS},\n    \"sa_evals_per_sec\": {sa_eps:.0},\n    \"min_evals_per_sec\": {SA_MIN_EVALS_PER_SEC:.0}\n  }},\n  \"results\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     if let Err(e) = std::fs::write(&out, json) {

@@ -119,6 +119,25 @@ impl PlacementCase {
         ]
     }
 
+    /// The state-mutation probe list: the `want` nodes SLURM's default
+    /// selector grants from this case's state, in the order it emits
+    /// them (ascending within each leaf, leaves in fill order).
+    pub fn leaf_ordered_nodes(&self, want: usize) -> Vec<NodeId> {
+        DefaultTreeSelector
+            .select(&self.tree, &self.state, &self.request_of(want))
+            .unwrap()
+    }
+
+    /// One `allocate` + `release` round trip of `nodes`, leaving the
+    /// case's state as it found it: the state-mutation measured unit.
+    pub fn allocate_release(&mut self, nodes: &[NodeId]) {
+        let job = JobId(u64::MAX);
+        self.state
+            .allocate(&self.tree, job, nodes, JobNature::ComputeIntensive)
+            .unwrap();
+        self.state.release(&self.tree, job).unwrap();
+    }
+
     /// One full annealed search over the case's probe request through the
     /// shared evaluator: the `sa_evals_per_sec` measured unit. Returns the
     /// search stats; `None` means the search returned the incumbent

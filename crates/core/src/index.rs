@@ -25,15 +25,22 @@
 //! the chosen switch.
 //!
 //! Maintenance is batched: counter mutations note the pre-mutation value
-//! of each touched leaf/switch (first touch wins), and every public
+//! of each touched leaf/switch, and every public
 //! [`ClusterState`](crate::ClusterState) mutation flushes the notes into
 //! the sets before returning — one remove+insert per *touched summary
 //! entry*, not per node, so allocating a 512-node job on one leaf updates
-//! that leaf's entries once. Readers (`&self`) always see a clean index.
+//! that leaf's entries once. A note is a push onto a plain list guarded
+//! by a dense per-switch/per-leaf mark sized at `rebuild`: the first note
+//! since the last flush sets the mark and records the value the sets
+//! still reflect, later notes see the mark and do nothing, and the flush
+//! clears exactly the marks it set. Each entry re-keys a distinct
+//! `(key, id)` pair in ordered sets, so the flush order cannot change the
+//! result and the index stays equal to a from-scratch rebuild. Readers
+//! (`&self`) always see a clean index.
 
 use commsched_num::usize_of_u32;
 use commsched_topology::{SwitchId, Tree};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 const SIGN: u64 = 1 << 63;
 
@@ -66,11 +73,15 @@ pub(crate) struct FreeIndex {
     /// `[switch_id]` → `(ratio_key, leaf_ordinal)` of the same leaves.
     by_ratio: Vec<BTreeSet<(u64, u32)>>,
     /// Switches whose `subtree_free` changed since the last flush, with
-    /// the value the sets currently reflect.
-    dirty_switches: BTreeMap<u32, u32>,
+    /// the value the sets currently reflect, in first-touch order.
+    dirty_switches: Vec<(u32, u32)>,
     /// Leaves whose fill keys changed since the last flush, with the
     /// `(leaf_free, ratio_key)` the sets currently reflect.
-    dirty_leaves: BTreeMap<u32, (u32, u64)>,
+    dirty_leaves: Vec<(u32, (u32, u64))>,
+    /// `[switch_id]` → already in `dirty_switches`.
+    switch_noted: Vec<bool>,
+    /// `[leaf_ordinal]` → already in `dirty_leaves`.
+    leaf_noted: Vec<bool>,
 }
 
 impl FreeIndex {
@@ -93,6 +104,10 @@ impl FreeIndex {
         self.by_ratio.resize(tree.num_switches(), BTreeSet::new());
         self.dirty_switches.clear();
         self.dirty_leaves.clear();
+        self.switch_noted.clear();
+        self.switch_noted.resize(tree.num_switches(), false);
+        self.leaf_noted.clear();
+        self.leaf_noted.resize(tree.num_leaves(), false);
 
         for (id, sw) in tree.switches().iter().enumerate() {
             let free = switch_free[id];
@@ -125,15 +140,21 @@ impl FreeIndex {
     /// still reflect.
     #[inline]
     pub(crate) fn note_switch(&mut self, id: u32, free_before: u32) {
-        self.dirty_switches.entry(id).or_insert(free_before);
+        let noted = &mut self.switch_noted[usize_of_u32(id)];
+        if !*noted {
+            *noted = true;
+            self.dirty_switches.push((id, free_before));
+        }
     }
 
     /// Note a leaf's current fill keys before its counters are mutated.
     #[inline]
     pub(crate) fn note_leaf(&mut self, ord: u32, free_before: u32, rkey_before: u64) {
-        self.dirty_leaves
-            .entry(ord)
-            .or_insert((free_before, rkey_before));
+        let noted = &mut self.leaf_noted[usize_of_u32(ord)];
+        if !*noted {
+            *noted = true;
+            self.dirty_leaves.push((ord, (free_before, rkey_before)));
+        }
     }
 
     /// Whether any notes are pending (readers require a clean index).
@@ -142,18 +163,36 @@ impl FreeIndex {
         !self.dirty_switches.is_empty() || !self.dirty_leaves.is_empty()
     }
 
-    /// Take the pending notes for a flush (see `ClusterState::flush_index`,
-    /// which owns the counter reads the flush needs).
-    pub(crate) fn take_dirty(&mut self) -> (BTreeMap<u32, u32>, BTreeMap<u32, (u32, u64)>) {
-        (
-            std::mem::take(&mut self.dirty_switches),
-            std::mem::take(&mut self.dirty_leaves),
-        )
+    /// Fold the pending notes into the sets, reading each noted entry's
+    /// current value through `switch_free(id)` and `leaf_keys(ordinal)`,
+    /// then clear exactly the marks those notes set. The note lists keep
+    /// their capacity, so a steady-state flush allocates nothing.
+    pub(crate) fn flush(
+        &mut self,
+        tree: &Tree,
+        switch_free: impl Fn(u32) -> u32,
+        leaf_keys: impl Fn(u32) -> (u32, u64),
+    ) {
+        let mut switches = std::mem::take(&mut self.dirty_switches);
+        for &(id, old_free) in &switches {
+            let level = tree.switch(SwitchId(usize_of_u32(id))).level;
+            self.apply_switch(level, id, old_free, switch_free(id));
+            self.switch_noted[usize_of_u32(id)] = false;
+        }
+        switches.clear();
+        self.dirty_switches = switches;
+        let mut leaves = std::mem::take(&mut self.dirty_leaves);
+        for &(ord, old) in &leaves {
+            self.apply_leaf(tree, ord, old, leaf_keys(ord));
+            self.leaf_noted[usize_of_u32(ord)] = false;
+        }
+        leaves.clear();
+        self.dirty_leaves = leaves;
     }
 
     /// Re-key one switch in its level set.
     #[inline]
-    pub(crate) fn apply_switch(&mut self, level: u32, id: u32, old_free: u32, new_free: u32) {
+    fn apply_switch(&mut self, level: u32, id: u32, old_free: u32, new_free: u32) {
         if old_free == new_free {
             return;
         }
@@ -168,7 +207,7 @@ impl FreeIndex {
     }
 
     /// Re-key one leaf in every ancestor's fill-order sets.
-    pub(crate) fn apply_leaf(
+    fn apply_leaf(
         &mut self,
         tree: &Tree,
         ord: u32,

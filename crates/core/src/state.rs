@@ -62,6 +62,8 @@ pub struct Allocation {
 pub enum StateError {
     /// Tried to allocate a node that is already busy.
     NodeBusy(NodeId),
+    /// The node list named the same node more than once.
+    DuplicateNode(NodeId),
     /// Tried to allocate under a job id that already holds nodes.
     JobExists(JobId),
     /// Tried to release a job with no recorded allocation.
@@ -90,6 +92,7 @@ impl fmt::Display for StateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::NodeBusy(n) => write!(f, "{n} is already allocated"),
+            Self::DuplicateNode(n) => write!(f, "{n} is listed more than once"),
             Self::JobExists(j) => write!(f, "{j} already holds an allocation"),
             Self::UnknownJob(j) => write!(f, "{j} has no allocation"),
             Self::EmptyAllocation(j) => write!(f, "refusing empty allocation for {j}"),
@@ -280,27 +283,17 @@ impl ClusterState {
     /// Rebuild the free-count index from the counters (construction and
     /// reset; incremental maintenance covers everything else).
     fn reindex(&mut self, tree: &Tree) {
-        let Self {
-            index,
-            leaf_free,
-            leaf_busy,
-            leaf_comm,
-            switch_free,
-            ..
-        } = self;
-        index.rebuild(tree, leaf_free, switch_free, |k| {
-            ratio_value(leaf_busy[k], leaf_comm[k], f64_of_usize(tree.leaf_size(k)))
+        let mut index = std::mem::take(&mut self.index);
+        index.rebuild(tree, &self.leaf_free, &self.switch_free, |k| {
+            self.communication_ratio(tree, k)
         });
+        self.index = index;
     }
 
     /// Record leaf `k`'s current index keys before mutating its counters.
     #[inline]
     fn note_leaf_dirty(&mut self, tree: &Tree, k: usize) {
-        let rkey = ratio_key(ratio_value(
-            self.leaf_busy[k],
-            self.leaf_comm[k],
-            f64_of_usize(tree.leaf_size(k)),
-        ));
+        let rkey = ratio_key(self.communication_ratio(tree, k));
         self.index
             .note_leaf(u32_of_usize(k), self.leaf_free[k], rkey);
     }
@@ -309,25 +302,17 @@ impl ClusterState {
     /// public `&mut self` method ends with this, so `&self` readers always
     /// see a clean index.
     fn flush_index(&mut self, tree: &Tree) {
-        if !self.index.is_dirty() {
-            return;
-        }
-        let (switches, leaves) = self.index.take_dirty();
-        for (id, old_free) in switches {
-            let level = tree.switch(SwitchId(usize_of_u32(id))).level;
-            self.index
-                .apply_switch(level, id, old_free, self.switch_free[usize_of_u32(id)]);
-        }
-        for (ord, old) in leaves {
-            let k = usize_of_u32(ord);
-            let new_rkey = ratio_key(ratio_value(
-                self.leaf_busy[k],
-                self.leaf_comm[k],
-                f64_of_usize(tree.leaf_size(k)),
-            ));
-            self.index
-                .apply_leaf(tree, ord, old, (self.leaf_free[k], new_rkey));
-        }
+        let mut index = std::mem::take(&mut self.index);
+        index.flush(
+            tree,
+            |id| self.switch_free[usize_of_u32(id)],
+            |ord| {
+                let k = usize_of_u32(ord);
+                let rkey = ratio_key(self.communication_ratio(tree, k));
+                (self.leaf_free[k], rkey)
+            },
+        );
+        self.index = index;
     }
 
     /// Read access to the free-count index for the selectors.
@@ -507,52 +492,93 @@ impl ClusterState {
         out
     }
 
-    /// Flip one free node to busy across every counter (node bit, leaf
-    /// counters, the ancestor chain of switch counters, the total).
-    #[inline]
-    fn occupy(&mut self, tree: &Tree, n: NodeId, comm: bool) {
-        debug_assert!(self.node_free[n.0]);
-        self.node_free[n.0] = false;
-        let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
-        self.leaf_free[k] -= 1;
-        self.leaf_busy[k] += 1;
-        if comm {
-            self.leaf_comm[k] += 1;
+    /// The one counter mover: shift `count` nodes of leaf ordinal `k` from
+    /// pool `from` to pool `to`. Notes the leaf for the index, moves the
+    /// leaf counters and totals by `count`, and — when the free pool is
+    /// involved — walks the leaf's ancestor switch chain once. Callers
+    /// flip the per-node bits of the run themselves.
+    fn shift(&mut self, tree: &Tree, k: usize, from: Pool, to: Pool, count: u32) {
+        if count == 0 {
+            return;
         }
-        let mut s = Some(tree.leaf_of(n));
+        self.note_leaf_dirty(tree, k);
+        for (pool, gain) in [(from, false), (to, true)] {
+            match pool {
+                Pool::Free => {
+                    bump(&mut self.leaf_free[k], gain, count);
+                    bump(&mut self.free_total, gain, usize_of_u32(count));
+                }
+                Pool::Busy { comm } => {
+                    bump(&mut self.leaf_busy[k], gain, count);
+                    if comm {
+                        bump(&mut self.leaf_comm[k], gain, count);
+                    }
+                }
+                Pool::Down => {
+                    bump(&mut self.leaf_down[k], gain, count);
+                    bump(&mut self.down_total, gain, usize_of_u32(count));
+                }
+            }
+        }
+        let gain = match (from, to) {
+            (Pool::Free, _) => false,
+            (_, Pool::Free) => true,
+            _ => return,
+        };
+        let mut s = Some(tree.leaf(k));
         while let Some(id) = s {
             self.index
                 .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
-            self.switch_free[id.0] -= 1;
+            bump(&mut self.switch_free[id.0], gain, count);
             s = tree.switch(id).parent;
         }
-        self.free_total -= 1;
     }
 
-    /// Inverse of [`ClusterState::occupy`].
-    #[inline]
-    fn vacate(&mut self, tree: &Tree, n: NodeId, comm: bool) {
-        debug_assert!(!self.node_free[n.0]);
-        self.node_free[n.0] = true;
-        let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
-        self.leaf_free[k] += 1;
-        self.leaf_busy[k] -= 1;
-        if comm {
-            self.leaf_comm[k] -= 1;
+    /// Mark the free nodes of `nodes` (grouped by leaf; see [`leaf_runs`])
+    /// busy, one [`ClusterState::shift`] per run.
+    fn occupy_runs(&mut self, tree: &Tree, nodes: &[NodeId], comm: bool) {
+        for (k, run) in leaf_runs(tree, nodes) {
+            for &n in run {
+                debug_assert!(self.node_free[n.0]);
+                self.node_free[n.0] = false;
+            }
+            self.shift(
+                tree,
+                k,
+                Pool::Free,
+                Pool::Busy { comm },
+                u32_of_usize(run.len()),
+            );
         }
-        let mut s = Some(tree.leaf_of(n));
-        while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
-            self.switch_free[id.0] += 1;
-            s = tree.switch(id).parent;
+    }
+
+    /// Inverse of [`ClusterState::occupy_runs`], except that draining
+    /// nodes go down instead of free: each run is split by a count of its
+    /// draining nodes, never by a per-node path.
+    fn vacate_runs(&mut self, tree: &Tree, nodes: &[NodeId], comm: bool) {
+        for (k, run) in leaf_runs(tree, nodes) {
+            let mut draining = 0u32;
+            for &n in run {
+                debug_assert!(!self.node_free[n.0]);
+                if self.node_health[n.0] == NodeHealth::Draining {
+                    self.node_health[n.0] = NodeHealth::Down;
+                    draining += 1;
+                } else {
+                    self.node_free[n.0] = true;
+                }
+            }
+            let busy = Pool::Busy { comm };
+            let healthy = u32_of_usize(run.len()) - draining;
+            self.shift(tree, k, busy, Pool::Free, healthy);
+            self.shift(tree, k, busy, Pool::Down, draining);
+            self.draining_total -= usize_of_u32(draining);
         }
-        self.free_total += 1;
     }
 
     /// Record an allocation: mark `nodes` busy under `job` with `nature`.
+    ///
+    /// Errors before mutating anything when `nodes` is empty, names a node
+    /// twice, or names a node that is busy or down.
     pub fn allocate(
         &mut self,
         tree: &Tree,
@@ -576,11 +602,11 @@ impl ClusterState {
                 });
             }
         }
-        for &n in nodes {
-            self.occupy(tree, n, nature.is_comm());
+        let sorted = sorted_nodes(tree, nodes);
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(StateError::DuplicateNode(w[0]));
         }
-        let mut sorted = nodes.to_vec();
-        sorted.sort_unstable();
+        self.occupy_runs(tree, &sorted, nature.is_comm());
         self.allocs.insert(
             job,
             Allocation {
@@ -602,72 +628,10 @@ impl ClusterState {
             .allocs
             .remove(&job)
             .ok_or(StateError::UnknownJob(job))?;
-        for &n in &alloc.nodes {
-            if self.node_health[n.0] == NodeHealth::Draining {
-                // Busy -> down: the node leaves the busy counters but never
-                // re-enters the free ones, so switch_free/free_total are
-                // untouched (it was not free before and is not free now).
-                // The busy/comm change still moves the leaf's ratio key.
-                let k = tree.leaf_ordinal_of(n);
-                self.note_leaf_dirty(tree, k);
-                self.leaf_busy[k] -= 1;
-                if alloc.nature.is_comm() {
-                    self.leaf_comm[k] -= 1;
-                }
-                self.leaf_down[k] += 1;
-                self.node_health[n.0] = NodeHealth::Down;
-                self.down_total += 1;
-                self.draining_total -= 1;
-            } else {
-                self.vacate(tree, n, alloc.nature.is_comm());
-            }
-        }
+        self.vacate_runs(tree, &alloc.nodes, alloc.nature.is_comm());
         self.flush_index(tree);
         self.version = next_version();
         Ok(alloc)
-    }
-
-    /// Free -> down counter move: leaves every free counter exactly like
-    /// occupy, but lands in `leaf_down` instead of `leaf_busy`. Touches
-    /// neither `node_health` nor `node_mask`; callers record *why* the
-    /// node left service.
-    #[inline]
-    fn free_to_down(&mut self, tree: &Tree, n: NodeId) {
-        debug_assert!(self.node_free[n.0]);
-        self.node_free[n.0] = false;
-        let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
-        self.leaf_free[k] -= 1;
-        self.leaf_down[k] += 1;
-        let mut s = Some(tree.leaf_of(n));
-        while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
-            self.switch_free[id.0] -= 1;
-            s = tree.switch(id).parent;
-        }
-        self.free_total -= 1;
-        self.down_total += 1;
-    }
-
-    /// Inverse of [`ClusterState::free_to_down`].
-    #[inline]
-    fn down_to_free(&mut self, tree: &Tree, n: NodeId) {
-        debug_assert!(!self.node_free[n.0]);
-        self.node_free[n.0] = true;
-        let k = tree.leaf_ordinal_of(n);
-        self.note_leaf_dirty(tree, k);
-        self.leaf_down[k] -= 1;
-        self.leaf_free[k] += 1;
-        let mut s = Some(tree.leaf_of(n));
-        while let Some(id) = s {
-            self.index
-                .note_switch(u32_of_usize(id.0), self.switch_free[id.0]);
-            self.switch_free[id.0] += 1;
-            s = tree.switch(id).parent;
-        }
-        self.free_total += 1;
-        self.down_total -= 1;
     }
 
     /// Take a *free* node out of service (fault-injection `Fail` on an idle
@@ -695,7 +659,8 @@ impl ClusterState {
             }
             _ => {}
         }
-        self.free_to_down(tree, n);
+        self.node_free[n.0] = false;
+        self.shift(tree, tree.leaf_ordinal_of(n), Pool::Free, Pool::Down, 1);
         self.node_health[n.0] = NodeHealth::Down;
         self.flush_index(tree);
         self.version = next_version();
@@ -724,7 +689,8 @@ impl ClusterState {
                 Ok(())
             }
             NodeHealth::Down => {
-                self.down_to_free(tree, n);
+                self.node_free[n.0] = true;
+                self.shift(tree, tree.leaf_ordinal_of(n), Pool::Down, Pool::Free, 1);
                 self.node_health[n.0] = NodeHealth::Up;
                 self.flush_index(tree);
                 self.version = next_version();
@@ -757,19 +723,7 @@ impl ClusterState {
                 }
             }
         }
-        for &k in tree.leaf_ordinals_under(s) {
-            for &n in tree.leaf_nodes(k) {
-                self.node_mask[n.0] += 1;
-                if self.node_mask[n.0] == 1 && self.node_health[n.0] == NodeHealth::Up {
-                    // First mask over a healthy (therefore free) node.
-                    self.free_to_down(tree, n);
-                }
-            }
-        }
-        self.switch_down[s.0] = true;
-        self.switches_down_total += 1;
-        self.flush_index(tree);
-        self.version = next_version();
+        self.mask_subtree(tree, s, true);
         Ok(())
     }
 
@@ -783,19 +737,36 @@ impl ClusterState {
         if !self.switch_down[s.0] {
             return Err(StateError::SwitchNotDown(s));
         }
+        self.mask_subtree(tree, s, false);
+        Ok(())
+    }
+
+    /// Add (`down`) or lift one switch-outage mask over every node under
+    /// `s`. A node whose mask turns on or off while it is intrinsically
+    /// `Up` (therefore free when unmasked) moves between the free and
+    /// down pools, one [`ClusterState::shift`] per leaf.
+    fn mask_subtree(&mut self, tree: &Tree, s: SwitchId, down: bool) {
+        let (from, to) = if down {
+            (Pool::Free, Pool::Down)
+        } else {
+            (Pool::Down, Pool::Free)
+        };
         for &k in tree.leaf_ordinals_under(s) {
+            let mut moved = 0u32;
             for &n in tree.leaf_nodes(k) {
-                self.node_mask[n.0] -= 1;
-                if self.node_mask[n.0] == 0 && self.node_health[n.0] == NodeHealth::Up {
-                    self.down_to_free(tree, n);
+                let mask = &mut self.node_mask[n.0];
+                bump(mask, down, 1);
+                if *mask == u32::from(down) && self.node_health[n.0] == NodeHealth::Up {
+                    self.node_free[n.0] = !down;
+                    moved += 1;
                 }
             }
+            self.shift(tree, k, from, to, moved);
         }
-        self.switch_down[s.0] = false;
-        self.switches_down_total -= 1;
+        self.switch_down[s.0] = down;
+        bump(&mut self.switches_down_total, down, 1);
         self.flush_index(tree);
         self.version = next_version();
-        Ok(())
     }
 
     /// Gracefully drain node `n`: a free node goes straight down (returns
@@ -835,7 +806,7 @@ impl ClusterState {
     /// would, but records nothing in the job table; consequently
     /// [`ClusterState::check_invariants`], which reconciles counters against
     /// held allocations, only holds again once the guard drops. All `nodes`
-    /// must currently be free.
+    /// must currently be free and distinct.
     pub fn scratch_alloc<'s, 't>(
         &'s mut self,
         tree: &'t Tree,
@@ -845,14 +816,19 @@ impl ClusterState {
         let comm = nature.is_comm();
         for &n in nodes {
             assert!(self.node_free[n.0], "scratch allocation over busy {n}");
-            self.occupy(tree, n, comm);
         }
+        let sorted = sorted_nodes(tree, nodes);
+        assert!(
+            sorted.windows(2).all(|w| w[0] != w[1]),
+            "scratch allocation lists a node twice"
+        );
+        self.occupy_runs(tree, &sorted, comm);
         self.flush_index(tree);
         self.version = next_version();
         ScratchAlloc {
             state: self,
             tree,
-            nodes: nodes.to_vec(),
+            nodes: sorted,
             comm,
         }
     }
@@ -878,9 +854,6 @@ impl ClusterState {
                 != u32_of_usize(tree.leaf_size(k))
             {
                 return Err(format!("leaf {k}: free + busy + down != size"));
-            }
-            if self.leaf_comm[k] > self.leaf_busy[k] {
-                return Err(format!("leaf {k}: comm > busy"));
             }
         }
         // Recount the per-node switch masks from the per-switch down bits,
@@ -977,12 +950,44 @@ impl ClusterState {
                 self.free_total, total
             ));
         }
-        let held: usize = self.allocs.values().map(|a| a.nodes.len()).sum();
-        if held != self.busy_total() {
-            return Err(format!(
-                "allocations hold {held} nodes but {} are busy",
-                self.busy_total()
-            ));
+        // Recount ownership and the busy/comm leaf counters from the held
+        // allocations: each one strictly ascending (the batched release
+        // walks it in leaf runs), each held node busy, not down and owned
+        // by exactly one job. With the free and down recounts above and
+        // free + busy + down == size per leaf, this also pins busy_total
+        // and comm <= busy.
+        let mut owner: Vec<Option<JobId>> = vec![None; self.node_free.len()];
+        let mut busy = vec![0u32; tree.num_leaves()];
+        let mut comm = vec![0u32; tree.num_leaves()];
+        for (&job, a) in &self.allocs {
+            if let Some(w) = a.nodes.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "{job}: nodes not strictly ascending ({} then {})",
+                    w[0], w[1]
+                ));
+            }
+            for &n in &a.nodes {
+                if self.node_free[n.0] {
+                    return Err(format!("{job} holds {n}, which is marked free"));
+                }
+                if self.effective_health(n) == NodeHealth::Down {
+                    return Err(format!("{job} holds {n}, which is down"));
+                }
+                if let Some(other) = owner[n.0].replace(job) {
+                    return Err(format!("{n} is held by both {other} and {job}"));
+                }
+                let k = tree.leaf_ordinal_of(n);
+                busy[k] += 1;
+                if a.nature.is_comm() {
+                    comm[k] += 1;
+                }
+            }
+        }
+        if busy != self.leaf_busy {
+            return Err("leaf_busy disagrees with a recount from the allocations".into());
+        }
+        if comm != self.leaf_comm {
+            return Err("leaf_comm disagrees with a recount from the allocations".into());
         }
         if self.index.is_dirty() {
             return Err("free-count index has unflushed notes".into());
@@ -1011,6 +1016,54 @@ fn ratio_value(busy: u32, comm: u32, nodes: f64) -> f64 {
     }
 }
 
+/// Add `by` to `v` when `gain`, otherwise subtract it.
+#[inline]
+fn bump<T: std::ops::AddAssign + std::ops::SubAssign>(v: &mut T, gain: bool, by: T) {
+    if gain {
+        *v += by;
+    } else {
+        *v -= by;
+    }
+}
+
+/// A counter pool a node can sit in; see [`ClusterState::shift`]. Busy
+/// nodes of a communication-intensive job also count in `leaf_comm`.
+#[derive(Debug, Clone, Copy)]
+enum Pool {
+    Free,
+    Busy { comm: bool },
+    Down,
+}
+
+/// Split `nodes` into maximal runs of consecutive entries on one leaf,
+/// each with its leaf ordinal.
+fn leaf_runs<'a>(
+    tree: &'a Tree,
+    nodes: &'a [NodeId],
+) -> impl Iterator<Item = (usize, &'a [NodeId])> + 'a {
+    nodes
+        .chunk_by(|&a, &b| tree.leaf_of(a) == tree.leaf_of(b))
+        .map(|run| (tree.leaf_ordinal_of(run[0]), run))
+}
+
+/// `nodes` in ascending order, without a comparison sort in the common
+/// case. Selectors emit ascending runs per leaf, so the list is cut at
+/// every descent or leaf change; when the runs, ordered by their heads,
+/// do not interleave, concatenating them is the sorted list. Anything
+/// else (shuffled input, duplicates) falls back to `sort_unstable`.
+fn sorted_nodes(tree: &Tree, nodes: &[NodeId]) -> Vec<NodeId> {
+    let mut runs: Vec<&[NodeId]> = nodes
+        .chunk_by(|&a, &b| a < b && tree.leaf_of(a) == tree.leaf_of(b))
+        .collect();
+    runs.sort_unstable_by_key(|run| run[0]);
+    if runs.windows(2).all(|w| w[0].last() < w[1].first()) {
+        return runs.concat();
+    }
+    let mut sorted = nodes.to_vec();
+    sorted.sort_unstable();
+    sorted
+}
+
 /// RAII what-if guard from [`ClusterState::scratch_alloc`]: while alive, the
 /// borrowed state's counters include a hypothetical allocation; dropping the
 /// guard reverts every counter to its previous value (only the opaque
@@ -1036,9 +1089,7 @@ impl std::ops::Deref for ScratchAlloc<'_, '_> {
 
 impl Drop for ScratchAlloc<'_, '_> {
     fn drop(&mut self) {
-        for &n in &self.nodes {
-            self.state.vacate(self.tree, n, self.comm);
-        }
+        self.state.vacate_runs(self.tree, &self.nodes, self.comm);
         self.state.flush_index(self.tree);
         self.state.version = next_version();
     }

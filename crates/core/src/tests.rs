@@ -104,6 +104,32 @@ fn state_errors() {
 }
 
 #[test]
+fn duplicate_nodes_are_rejected_before_any_mutation() {
+    let tree = commsched_topology::SystemPreset::Theta.build();
+    let mut st = ClusterState::new(&tree);
+    st.allocate(&tree, JobId(7), &[NodeId(3)], JobNature::ComputeIntensive)
+        .unwrap();
+    let before = st.clone();
+    let n = NodeId(0);
+    let far = NodeId(tree.num_nodes() - 1);
+    for (nodes, dup) in [
+        (vec![n, n], n),
+        (vec![far, n, NodeId(1), n], n),
+        (vec![n, far, far], far),
+    ] {
+        assert_eq!(
+            st.allocate(&tree, JobId(1), &nodes, JobNature::CommIntensive),
+            Err(StateError::DuplicateNode(dup)),
+            "{nodes:?}"
+        );
+        assert_eq!(st, before);
+        assert!(st.index() == before.index());
+        st.check_invariants(&tree).unwrap();
+    }
+    assert_eq!(st.allocation(JobId(1)), None);
+}
+
+#[test]
 fn communication_ratio_eq1() {
     let tree = figure2();
     let st = figure5_state(&tree);
@@ -1586,6 +1612,195 @@ mod properties {
         ) {
             let tree = Tree::regular_three_level(spines, leaves, nodes_per_leaf);
             churn_with_switch_faults(&tree, seed)?;
+        }
+    }
+
+    /// Churn aimed at the batched per-leaf counter moves. Every placement
+    /// is allocated from four arrival orders of the same node set — as
+    /// the selector emitted it, reversed, shuffled and sorted — and the
+    /// four states and indexes must be equal. Drains hit part of a live
+    /// job so its release mixes draining and healthy nodes on one leaf,
+    /// and node faults leave leaves partially down before a switch
+    /// outage masks them. Invariants are checked after every operation.
+    fn batched_moves(tree: &Tree, seed: u64) -> Result<(), proptest::test_runner::TestCaseError> {
+        use crate::NodeHealth;
+        use commsched_topology::SwitchId;
+        use proptest::test_runner::TestCaseError;
+        let mut st = ClusterState::new(tree);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut live: Vec<JobId> = Vec::new();
+        let mut next = 0u64;
+        let check = |st: &ClusterState, step: u32, what: &str| {
+            st.check_invariants(tree)
+                .map_err(|e| TestCaseError::fail(format!("step {step} ({what}): {e}")))
+        };
+        for step in 0..50u32 {
+            match rng.random_range(0..6u8) {
+                0 | 1 => {
+                    if st.free_total() == 0 {
+                        continue;
+                    }
+                    let want = rng.random_range(1..=st.free_total().min(12));
+                    let nature = if rng.random::<bool>() {
+                        JobNature::CommIntensive
+                    } else {
+                        JobNature::ComputeIntensive
+                    };
+                    let req = AllocRequest {
+                        job: JobId(next),
+                        nodes: want,
+                        nature,
+                        pattern: None,
+                        attempt: 0,
+                    };
+                    let kind = SelectorKind::ALL[rng.random_range(0..SelectorKind::ALL.len())];
+                    let emitted = kind
+                        .build()
+                        .select(tree, &st, &req)
+                        .expect("free_total covers it");
+                    let mut reversed = emitted.clone();
+                    reversed.reverse();
+                    let mut shuffled = emitted.clone();
+                    shuffled.shuffle(&mut rng);
+                    let mut sorted = emitted.clone();
+                    sorted.sort_unstable();
+                    let mut outcomes = Vec::new();
+                    for order in [&emitted, &reversed, &shuffled, &sorted] {
+                        let mut s = st.clone();
+                        s.allocate(tree, JobId(next), order, nature)
+                            .expect("selected nodes are free");
+                        check(&s, step, "allocate")?;
+                        outcomes.push(s);
+                    }
+                    for (i, s) in outcomes.iter().enumerate().skip(1) {
+                        prop_assert_eq!(
+                            s,
+                            &outcomes[0],
+                            "step {}: order {} changed the state",
+                            step,
+                            i
+                        );
+                        prop_assert!(
+                            s.index() == outcomes[0].index(),
+                            "step {}: order {} changed the index",
+                            step,
+                            i
+                        );
+                    }
+                    let held = &outcomes[0]
+                        .allocation(JobId(next))
+                        .expect("just allocated")
+                        .nodes;
+                    prop_assert_eq!(held, &sorted);
+                    st = outcomes.swap_remove(0);
+                    live.push(JobId(next));
+                    next += 1;
+                }
+                2 => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let job = live.swap_remove(rng.random_range(0..live.len()));
+                    st.release(tree, job).expect("live jobs hold allocations");
+                    check(&st, step, "release")?;
+                }
+                3 => {
+                    // Drain part of a live job, then release it: the drained
+                    // nodes go down, their leaf-mates return to the pool.
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let job = live.swap_remove(rng.random_range(0..live.len()));
+                    let nodes = st.allocation(job).expect("live").nodes.clone();
+                    let mut drained = Vec::new();
+                    for &n in &nodes {
+                        if rng.random::<bool>() {
+                            prop_assert_eq!(st.set_draining(tree, n), Ok(false));
+                            drained.push(n);
+                            check(&st, step, "drain")?;
+                        }
+                    }
+                    st.release(tree, job).expect("live jobs hold allocations");
+                    check(&st, step, "release with drains")?;
+                    for &n in &nodes {
+                        let gone = drained.contains(&n);
+                        prop_assert_eq!(st.health(n) == NodeHealth::Down, gone);
+                        prop_assert_eq!(st.is_free(n), !gone);
+                    }
+                }
+                4 => {
+                    // Intrinsic fault or recovery of one idle node.
+                    let n = NodeId(rng.random_range(0..tree.num_nodes()));
+                    if st.health(n) == NodeHealth::Down {
+                        st.set_up(tree, n).expect("down nodes recover");
+                    } else if st.job_on(n).is_none() {
+                        st.set_down(tree, n).expect("idle nodes fail");
+                    } else {
+                        continue;
+                    }
+                    check(&st, step, "node fault")?;
+                }
+                _ => {
+                    let down: Vec<SwitchId> = (0..tree.num_switches())
+                        .map(SwitchId)
+                        .filter(|&s| st.switch_is_down(s))
+                        .collect();
+                    if !down.is_empty() && rng.random::<bool>() {
+                        let s = down[rng.random_range(0..down.len())];
+                        st.set_switch_up(tree, s).expect("picked from the down set");
+                        check(&st, step, "switch up")?;
+                        continue;
+                    }
+                    let s = SwitchId(rng.random_range(0..tree.num_switches()));
+                    if s == tree.root() || st.switch_is_down(s) {
+                        continue;
+                    }
+                    let under: std::collections::BTreeSet<usize> =
+                        tree.leaf_ordinals_under(s).iter().copied().collect();
+                    let victims: Vec<JobId> = st
+                        .allocations()
+                        .filter(|(_, a)| {
+                            a.nodes
+                                .iter()
+                                .any(|&n| under.contains(&tree.leaf_ordinal_of(n)))
+                        })
+                        .map(|(j, _)| j)
+                        .collect();
+                    for v in victims {
+                        st.release(tree, v).expect("victims hold allocations");
+                        live.retain(|&j| j != v);
+                        check(&st, step, "victim release")?;
+                    }
+                    st.set_switch_down(tree, s)
+                        .expect("subtree is idle after the kills");
+                    check(&st, step, "switch down")?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Batched moves on random two-level trees.
+        #[test]
+        fn batched_moves_two_level(sizes in arb_leaf_sizes(), seed in any::<u64>()) {
+            let tree = Tree::irregular_two_level(&sizes);
+            batched_moves(&tree, seed)?;
+        }
+
+        /// Batched moves on three-level trees, where one switch outage
+        /// covers several partially down leaves.
+        #[test]
+        fn batched_moves_three_level(
+            spines in 2usize..4,
+            leaves in 2usize..4,
+            nodes_per_leaf in 2usize..6,
+            seed in any::<u64>(),
+        ) {
+            let tree = Tree::regular_three_level(spines, leaves, nodes_per_leaf);
+            batched_moves(&tree, seed)?;
         }
     }
 }
