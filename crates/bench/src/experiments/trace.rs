@@ -19,13 +19,15 @@ use commsched_workload::{FaultTrace, JobLog, LogSpec, SystemModel};
 use serde_json::json;
 
 /// Every golden scenario name, in the order the suite checks them.
-pub const GOLDEN_SCENARIOS: [&str; 6] = [
+pub const GOLDEN_SCENARIOS: [&str; 8] = [
     "fifo-easy-greedy",
     "adaptive",
     "faulted-requeue",
     "switch-outage",
     "netsim-interference",
     "sa_tournament",
+    "conservative-front",
+    "easy-cancel-walltime",
 ];
 
 /// The 32-node golden machine: 4 leaf switches of 8 nodes.
@@ -102,10 +104,29 @@ fn golden_netsim_workloads() -> Vec<Workload> {
 /// Run one golden scenario: the full-class JSONL trace plus the pretty
 /// `RunReport` JSON. Returns `None` for an unknown scenario name.
 pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)> {
-    let (kind, faulted) = match name {
-        "fifo-easy-greedy" => (SelectorKind::Greedy, false),
-        "adaptive" => (SelectorKind::Adaptive, false),
-        "faulted-requeue" => (SelectorKind::Balanced, true),
+    let requeue = FailurePolicy::Requeue {
+        max_retries: 2,
+        backoff: 30,
+    };
+    // (selector, backfill, failure policy under node MTBF churn if any).
+    let (kind, backfill, faulted) = match name {
+        "fifo-easy-greedy" => (SelectorKind::Greedy, BackfillPolicy::Easy, None),
+        "adaptive" => (SelectorKind::Adaptive, BackfillPolicy::Easy, None),
+        "faulted-requeue" => (SelectorKind::Balanced, BackfillPolicy::Easy, Some(requeue)),
+        // Every queued job holds a reservation while killed jobs jump
+        // back to the queue head; SA at a small budget, so its searches
+        // are pinned on the conservative path too.
+        "conservative-front" => (
+            SelectorKind::Sa,
+            BackfillPolicy::Conservative,
+            Some(FailurePolicy::RequeueFront),
+        ),
+        // Killed jobs are cancelled, and every job is cut at its walltime.
+        "easy-cancel-walltime" => (
+            SelectorKind::Greedy,
+            BackfillPolicy::Easy,
+            Some(FailurePolicy::Cancel),
+        ),
         "switch-outage" => {
             // Hierarchical fault domains mid-run: one leaf switch goes dark
             // (killing and requeueing everything under it), one node uplink
@@ -196,16 +217,20 @@ pub fn run_golden(name: &str, jobs: usize, seed: u64) -> Option<(String, String)
 
     let tree = golden_tree();
     let log = golden_log(jobs, seed);
-    let mut cfg = EngineConfig::new(kind);
-    cfg.backfill = BackfillPolicy::Easy;
-    if faulted {
-        cfg = cfg.with_failure_policy(FailurePolicy::Requeue {
-            max_retries: 2,
-            backoff: 30,
-        });
+    let mut cfg = EngineConfig::new(kind).with_sa(SaBudget::with_evals(16), seed);
+    cfg.backfill = backfill;
+    if name == "easy-cancel-walltime" {
+        cfg = cfg.with_walltime_enforcement();
+    }
+    if let Some(policy) = faulted {
+        cfg = cfg.with_failure_policy(policy);
     }
     let mut engine = Engine::new(&tree, cfg);
-    if faulted {
+    if name == "conservative-front" {
+        // One node out of service for the whole run.
+        engine = engine.drain_nodes(vec![NodeId(5)]);
+    }
+    if faulted.is_some() {
         let horizon = log
             .jobs
             .iter()

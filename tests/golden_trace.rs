@@ -132,3 +132,22 @@ fn golden_files_are_well_formed() {
         );
     }
 }
+
+/// The scenarios that pin the kill paths must actually kill: a
+/// front-of-queue requeue under conservative backfill, and a cancelled
+/// finish under EASY with walltime enforcement.
+#[test]
+fn kill_scenarios_contain_kills() {
+    let (front, _) = run_golden("conservative-front", JOBS, SEED).expect("known scenario");
+    assert!(
+        front.contains("\"ev\":\"requeue\""),
+        "conservative-front: no requeue in the trace"
+    );
+    let (cancel, _) = run_golden("easy-cancel-walltime", JOBS, SEED).expect("known scenario");
+    assert!(
+        cancel
+            .lines()
+            .any(|l| l.contains("\"ev\":\"finish\"") && l.contains("\"status\":\"cancelled\"")),
+        "easy-cancel-walltime: no cancelled finish in the trace"
+    );
+}
