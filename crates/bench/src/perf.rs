@@ -155,13 +155,9 @@ impl PlacementCase {
             seed,
             eval.clone(),
         );
-        let (_, stats) = commsched_core::sa_search_with_stats(
-            &selector,
-            &self.tree,
-            &self.state,
-            &self.request(),
-        )
-        .unwrap();
+        let (_, stats) = selector
+            .select_with_stats(&self.tree, &self.state, &self.request())
+            .unwrap();
         stats
     }
 

@@ -51,7 +51,7 @@ mod state;
 pub use cost::CostModel;
 pub use eval::{EvalTotals, PlacementEvaluator};
 pub use mapping::MappingStrategy;
-pub use sa::{derive_seed, evals_per_sec, sa_search_with_stats, SaBudget, SaSelector, SaStats};
+pub use sa::{derive_seed, evals_per_sec, SaBudget, SaSelector, SaStats};
 pub use select::{
     AdaptiveSelector, AllocRequest, BalancedSelector, DefaultTreeSelector, GreedySelector,
     NodeSelector, SelectError, SelectorKind,

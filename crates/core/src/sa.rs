@@ -106,10 +106,9 @@ pub fn derive_seed(run_seed: u64, job: JobId, attempt: u32) -> u64 {
 ///
 /// Shares its [`PlacementEvaluator`] with the caller (like
 /// [`crate::AdaptiveSelector`]) so hop values computed while scoring
-/// proposals
-/// stay warm for the caller's own evaluation of the winning allocation,
-/// and exposes the last search's [`SaStats`] through a shared handle for
-/// trace emission.
+/// proposals stay warm for the caller's own evaluation of the winning
+/// allocation. [`NodeSelector::select_with_stats`] returns each search's
+/// [`SaStats`] with the placement, for trace emission.
 #[derive(Debug, Clone)]
 pub struct SaSelector {
     /// Cost model proposals are scored under (hop-bytes by default, like
@@ -120,7 +119,6 @@ pub struct SaSelector {
     /// Run seed the per-job search seed is derived from.
     pub seed: u64,
     eval: Arc<Mutex<PlacementEvaluator>>,
-    stats: Arc<Mutex<Option<SaStats>>>,
 }
 
 impl Default for SaSelector {
@@ -152,28 +150,7 @@ impl SaSelector {
             budget,
             seed,
             eval,
-            stats: Arc::new(Mutex::new(None)),
         }
-    }
-
-    /// Handle to the last comm-intensive search's statistics. The engine
-    /// clears it before each placement and drains it afterwards to emit
-    /// the `sa_search` trace event.
-    pub fn stats_handle(&self) -> Arc<Mutex<Option<SaStats>>> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Route statistics through a caller-owned handle instead of the
-    /// selector's private one (the engine shares its handle so the trace
-    /// layer can drain it without holding the selector).
-    pub fn share_stats(mut self, handle: Arc<Mutex<Option<SaStats>>>) -> Self {
-        self.stats = handle;
-        self
-    }
-
-    /// Take (and clear) the statistics of the last search, if one ran.
-    pub fn take_stats(&self) -> Option<SaStats> {
-        self.stats.lock().ok().and_then(|mut s| s.take())
     }
 
     /// The §4.3 adaptive incumbent, byte-for-byte: greedy and balanced
@@ -220,7 +197,8 @@ impl SaSelector {
 
     /// Run the annealing loop from `incumbent`; returns the refined
     /// placement (or the incumbent `Vec` unchanged when no strictly
-    /// cheaper candidate was found) and records [`SaStats`].
+    /// cheaper candidate was found) and the search's [`SaStats`] (`None`
+    /// when the move space is empty and no search ran).
     fn anneal(
         &self,
         tree: &Tree,
@@ -228,15 +206,15 @@ impl SaSelector {
         req: &AllocRequest,
         incumbent: Vec<NodeId>,
         incumbent_cost: Option<f64>,
-    ) -> Vec<NodeId> {
+    ) -> (Vec<NodeId>, Option<SaStats>) {
         // The same switch every index-driven selector picked: lowest level
         // with enough free nodes. Its leaves are the move alphabet.
         let Some(p) = state.index().lowest_level_switch(req.nodes) else {
-            return incumbent;
+            return (incumbent, None);
         };
         if tree.switch(p).children.is_empty() {
             // Single-leaf grant — no sibling subtrees to move across.
-            return incumbent;
+            return (incumbent, None);
         }
         // Candidate leaves in ascending ordinal order: (ordinal, capacity).
         let mut leaves: Vec<(usize, u32)> = state
@@ -247,7 +225,7 @@ impl SaSelector {
             .collect();
         leaves.sort_unstable();
         if leaves.len() < 2 {
-            return incumbent;
+            return (incumbent, None);
         }
         // Incumbent as a per-leaf take vector.
         let mut take = vec![0u32; leaves.len()];
@@ -256,13 +234,13 @@ impl SaSelector {
             let Ok(idx) = leaves.binary_search_by_key(&ord, |&(o, _)| o) else {
                 // Incumbent node on a leaf the index does not list under
                 // `p` — cannot model the move space; keep the incumbent.
-                return incumbent;
+                return (incumbent, None);
             };
             take[idx] += 1;
         }
         let spec = req.spec();
         let Ok(mut eval) = self.eval.lock() else {
-            return incumbent;
+            return (incumbent, None);
         };
         let cost_incumbent = incumbent_cost.unwrap_or_else(|| {
             eval.evaluate(tree, state, self.cost.trunk_discount, &incumbent, &spec)
@@ -338,19 +316,17 @@ impl SaSelector {
         } else {
             (incumbent, cost_incumbent)
         };
-        if let Ok(mut slot) = self.stats.lock() {
-            *slot = Some(SaStats {
-                job: req.job,
-                attempt: req.attempt,
-                budget: self.budget.max_evals,
-                evals,
-                accepted,
-                rejected,
-                cost_incumbent,
-                cost_final,
-            });
-        }
-        out
+        let stats = SaStats {
+            job: req.job,
+            attempt: req.attempt,
+            budget: self.budget.max_evals,
+            evals,
+            accepted,
+            rejected,
+            cost_incumbent,
+            cost_final,
+        };
+        (out, Some(stats))
     }
 }
 
@@ -398,26 +374,22 @@ impl NodeSelector for SaSelector {
         state: &ClusterState,
         req: &AllocRequest,
     ) -> Result<Vec<NodeId>, SelectError> {
+        Ok(self.select_with_stats(tree, state, req)?.0)
+    }
+
+    fn select_with_stats(
+        &self,
+        tree: &Tree,
+        state: &ClusterState,
+        req: &AllocRequest,
+    ) -> Result<(Vec<NodeId>, Option<SaStats>), SelectError> {
         check_request(state, req)?;
         let (incumbent, cost) = self.incumbent(tree, state, req)?;
         if self.budget.max_evals == 0 || !req.nature.is_comm() {
-            return Ok(incumbent);
+            return Ok((incumbent, None));
         }
         Ok(self.anneal(tree, state, req, incumbent, cost))
     }
-}
-
-/// Throughput probe for `bench_engine`: run one annealing search and
-/// report `(placement, stats)` so the harness can compute evals/sec from
-/// the *actual* number of evaluator calls.
-pub fn sa_search_with_stats(
-    selector: &SaSelector,
-    tree: &Tree,
-    state: &ClusterState,
-    req: &AllocRequest,
-) -> Result<(Vec<NodeId>, Option<SaStats>), SelectError> {
-    let nodes = selector.select(tree, state, req)?;
-    Ok((nodes, selector.take_stats()))
 }
 
 /// Interpret a stats record as evaluations per second given elapsed

@@ -11,6 +11,7 @@
 use crate::cost::CostModel;
 use crate::eval::PlacementEvaluator;
 use crate::index::visit_desc;
+use crate::sa::SaStats;
 use crate::state::{ClusterState, JobId, JobNature};
 use commsched_collectives::{CollectiveSpec, Pattern};
 use commsched_num::usize_of_u32;
@@ -123,6 +124,18 @@ pub trait NodeSelector: Send + Sync {
         state: &ClusterState,
         req: &AllocRequest,
     ) -> Result<Vec<NodeId>, SelectError>;
+
+    /// [`NodeSelector::select`] plus the statistics of the search that
+    /// chose the nodes. Only [`crate::SaSelector`] searches; every other
+    /// selector returns `None`, as does SA when no search ran.
+    fn select_with_stats(
+        &self,
+        tree: &Tree,
+        state: &ClusterState,
+        req: &AllocRequest,
+    ) -> Result<(Vec<NodeId>, Option<SaStats>), SelectError> {
+        Ok((self.select(tree, state, req)?, None))
+    }
 }
 
 /// Validate the request, then find the lowest-level switch whose subtree has

@@ -18,7 +18,6 @@ use crate::select::{check_request, AllocRequest, SelectError};
 use crate::state::ClusterState;
 use commsched_num::usize_of_u32;
 use commsched_topology::{NodeId, SwitchId, Tree};
-use std::sync::{Arc, Mutex};
 
 /// Find the lowest-level switch whose subtree has at least `want` free
 /// nodes by scanning every switch. Ties at the same level break toward the
@@ -222,7 +221,7 @@ pub fn balanced_select(
 /// communication-intensive jobs and the costlier for compute-intensive ones.
 pub fn adaptive_select(
     cost: &CostModel,
-    eval: &Arc<Mutex<PlacementEvaluator>>,
+    eval: &mut PlacementEvaluator,
     tree: &Tree,
     state: &ClusterState,
     req: &AllocRequest,
@@ -233,15 +232,12 @@ pub fn adaptive_select(
         return Ok(balanced);
     }
     let spec = req.spec();
-    // detlint: allow(P1) — a poisoned mutex means another thread already
-    // panicked mid-evaluation; propagating is the only sound response.
-    let mut guard = eval.lock().expect("evaluator mutex poisoned");
     // Balanced last: when it wins (the common comm-intensive case) the
     // hop memo is warm for the caller's follow-up evaluation.
-    let cost_g = guard
+    let cost_g = eval
         .evaluate(tree, state, cost.trunk_discount, &greedy, &spec)
         .for_model(cost);
-    let cost_b = guard
+    let cost_b = eval
         .evaluate(tree, state, cost.trunk_discount, &balanced, &spec)
         .for_model(cost);
     let take_balanced = if req.nature.is_comm() {

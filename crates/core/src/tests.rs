@@ -1358,11 +1358,11 @@ mod properties {
                 select_scan::balanced_select(&tree, &st, &req).unwrap()
             );
             let adaptive = AdaptiveSelector::default();
-            let scan_eval = std::sync::Arc::new(std::sync::Mutex::new(PlacementEvaluator::new()));
+            let mut scan_eval = PlacementEvaluator::new();
             prop_assert_eq!(
                 adaptive.select(&tree, &st, &req).unwrap(),
                 select_scan::adaptive_select(
-                    &adaptive.cost, &scan_eval, &tree, &st, &req
+                    &adaptive.cost, &mut scan_eval, &tree, &st, &req
                 ).unwrap()
             );
         }
@@ -1412,11 +1412,11 @@ mod properties {
                 select_scan::balanced_select(&tree, &st, &req).unwrap()
             );
             let adaptive = AdaptiveSelector::default();
-            let scan_eval = std::sync::Arc::new(std::sync::Mutex::new(PlacementEvaluator::new()));
+            let mut scan_eval = PlacementEvaluator::new();
             prop_assert_eq!(
                 adaptive.select(&tree, &st, &req).unwrap(),
                 select_scan::adaptive_select(
-                    &adaptive.cost, &scan_eval, &tree, &st, &req
+                    &adaptive.cost, &mut scan_eval, &tree, &st, &req
                 ).unwrap()
             );
         }
@@ -1480,12 +1480,13 @@ mod properties {
                         SelectorKind::Default => select_scan::default_select(tree, &st, &req),
                         SelectorKind::Greedy => select_scan::greedy_select(tree, &st, &req),
                         SelectorKind::Balanced => select_scan::balanced_select(tree, &st, &req),
-                        SelectorKind::Adaptive => {
-                            let eval = std::sync::Arc::new(std::sync::Mutex::new(
-                                PlacementEvaluator::new(),
-                            ));
-                            select_scan::adaptive_select(&adaptive.cost, &eval, tree, &st, &req)
-                        }
+                        SelectorKind::Adaptive => select_scan::adaptive_select(
+                            &adaptive.cost,
+                            &mut PlacementEvaluator::new(),
+                            tree,
+                            &st,
+                            &req,
+                        ),
                         // `kind` is drawn from ALL, which excludes Sa (no
                         // scan twin exists for the annealed selector).
                         SelectorKind::Sa => unreachable!("ALL does not contain Sa"),
@@ -2276,13 +2277,13 @@ mod sa_properties {
         let sa = SaSelector::new(SaBudget::with_evals(64), 42);
         let req = AllocRequest::comm(JobId(9), 20)
             .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 20));
-        let first = sa.select(&tree, &st, &req).unwrap();
-        let stats_first = sa.take_stats().expect("search ran");
+        let (first, stats_first) = sa.select_with_stats(&tree, &st, &req).unwrap();
+        let stats_first = stats_first.expect("search ran");
         let retry_req = AllocRequest::comm(JobId(9), 20)
             .with_pattern(CollectiveSpec::new(Pattern::Rhvd, 1 << 20))
             .with_attempt(1);
-        let retry = sa.select(&tree, &st, &retry_req).unwrap();
-        let stats_retry = sa.take_stats().expect("search ran");
+        let (retry, stats_retry) = sa.select_with_stats(&tree, &st, &retry_req).unwrap();
+        let stats_retry = stats_retry.expect("search ran");
         assert_eq!(stats_first.attempt, 0);
         assert_eq!(stats_retry.attempt, 1);
         // Different seed, different walk: the accept/reject tallies (or

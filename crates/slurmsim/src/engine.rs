@@ -339,19 +339,6 @@ impl JobOutcome {
     }
 }
 
-/// One event of a run's reconstructed schedule trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Virtual second the event occurred.
-    pub t: u64,
-    /// `true` for a job start, `false` for a finish.
-    pub start: bool,
-    /// The job.
-    pub job: JobId,
-    /// Nodes held.
-    pub nodes: usize,
-}
-
 /// Results of a whole run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
@@ -483,47 +470,6 @@ impl RunSummary {
             .map(|(_, u)| u)
             .fold(0.0, f64::max)
     }
-
-    /// The run's schedule as a chronological event trace (starts before
-    /// finishes at the same instant, then by job id — a total order, so
-    /// traces diff cleanly between runs).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut ev = Vec::with_capacity(self.outcomes.len() * 2);
-        for o in &self.outcomes {
-            ev.push(TraceEvent {
-                t: o.start,
-                start: true,
-                job: o.id,
-                nodes: o.nodes,
-            });
-            ev.push(TraceEvent {
-                t: o.end,
-                start: false,
-                job: o.id,
-                nodes: o.nodes,
-            });
-        }
-        ev.sort_by_key(|e| (e.t, !e.start, e.job));
-        ev
-    }
-
-    /// The event trace as JSON lines (one event per line), for external
-    /// plotting/diffing tools.
-    pub fn to_json_lines(&self) -> String {
-        self.events()
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"t\":{},\"event\":\"{}\",\"job\":{},\"nodes\":{}}}",
-                    e.t,
-                    if e.start { "start" } else { "finish" },
-                    e.job.0,
-                    e.nodes
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -553,6 +499,8 @@ pub(crate) struct Placed {
     pub adjusted: u64,
     /// The applied communication-time multiplier.
     pub comm_ratio: f64,
+    /// Statistics of the selector's search, when one ran (SA only).
+    pub sa: Option<SaStats>,
 }
 
 /// Virtual seconds → trace microseconds. Saturating: overflowing u64
@@ -608,34 +556,6 @@ impl<'a, 'r> Obs<'a, 'r> {
             c_passes,
         }
     }
-
-    /// Emit the place/start pair for the outcome a successful
-    /// `start_job` just pushed.
-    fn note_start(&mut self, now: u64, o: &JobOutcome, attempt: u32, backfilled: bool) {
-        self.tr.emit(
-            us(now),
-            TK::JobPlace {
-                job: o.id.0,
-                attempt,
-                nodes: u64_of_usize(o.nodes),
-                cost_actual: o.cost_actual,
-                cost_default: o.cost_default,
-            },
-        );
-        self.tr.emit(
-            us(now),
-            TK::JobStart {
-                job: o.id.0,
-                attempt,
-                nodes: u64_of_usize(o.nodes),
-                backfilled,
-            },
-        );
-        self.reg.inc(self.c_started, 1);
-        if backfilled {
-            self.reg.inc(self.c_backfilled, 1);
-        }
-    }
 }
 
 /// The engine. Borrows the topology; cheap to construct per run.
@@ -652,11 +572,6 @@ pub struct Engine<'t> {
     /// adaptive selector, so candidate comparison warms the hop memo the
     /// Eq. 7 evaluation then reuses.
     eval: Arc<Mutex<PlacementEvaluator>>,
-    /// Statistics of the SA selector's last search, shared with the
-    /// selector built by [`Engine::build_selector`]; `place` clears it and
-    /// the scheduler drains it into the `sa_search` trace event. Always
-    /// `None` under any other selector.
-    sa_stats: Arc<Mutex<Option<SaStats>>>,
 }
 
 impl<'t> Engine<'t> {
@@ -668,7 +583,6 @@ impl<'t> Engine<'t> {
             drained: Vec::new(),
             faults: FaultTrace::empty(),
             eval: Arc::new(Mutex::new(PlacementEvaluator::new())),
-            sa_stats: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -681,23 +595,19 @@ impl<'t> Engine<'t> {
 
     /// Build the configured selector. The adaptive and SA selectors share
     /// this engine's evaluator (see the `eval` field); the others are
-    /// stateless. SA additionally routes its search statistics through
-    /// the engine's `sa_stats` handle for trace emission.
+    /// stateless.
     pub(crate) fn build_selector(&self) -> Box<dyn NodeSelector> {
         match self.cfg.selector {
             SelectorKind::Adaptive => Box::new(AdaptiveSelector::with_evaluator(
                 CostModel::HOP_BYTES,
                 Arc::clone(&self.eval),
             )),
-            SelectorKind::Sa => Box::new(
-                SaSelector::with_evaluator(
-                    CostModel::HOP_BYTES,
-                    self.cfg.sa_budget,
-                    self.cfg.sa_seed,
-                    Arc::clone(&self.eval),
-                )
-                .share_stats(Arc::clone(&self.sa_stats)),
-            ),
+            SelectorKind::Sa => Box::new(SaSelector::with_evaluator(
+                CostModel::HOP_BYTES,
+                self.cfg.sa_budget,
+                self.cfg.sa_seed,
+                Arc::clone(&self.eval),
+            )),
             k => k.build(),
         }
     }
@@ -711,12 +621,6 @@ impl<'t> Engine<'t> {
         self
     }
 
-    /// Place one job in `state` (without recording it) and work out its
-    /// Eq. 7 numbers. Returns `(nodes, cost_actual, cost_default,
-    /// adjusted_runtime)`.
-    ///
-    /// Shared by the continuous engine and the individual-runs driver so
-    /// both apply identical semantics.
     /// Slowest capacity factor over the links an allocation's in-tree
     /// routes traverse: node up/down links plus every switch up/down pair
     /// between each node's leaf and the allocation's LCA. `links` is the
@@ -747,6 +651,13 @@ impl<'t> Engine<'t> {
         factor
     }
 
+    /// Place one job in `state` (without recording it) and work out its
+    /// Eq. 6 costs and Eq. 7-adjusted runtime. `links` is the run's
+    /// per-directed-link factor table (empty on a healthy fabric). `None`
+    /// when the selector declines.
+    ///
+    /// Shared by the continuous engine and the individual-runs driver so
+    /// both apply identical semantics.
     pub(crate) fn place(
         &self,
         state: &ClusterState,
@@ -755,13 +666,6 @@ impl<'t> Engine<'t> {
         links: &[f64],
         attempt: u32,
     ) -> Option<Placed> {
-        if self.cfg.selector == SelectorKind::Sa {
-            // Fresh slot per placement, so a declined placement can never
-            // leave stale search statistics for the next job's events.
-            if let Ok(mut s) = self.sa_stats.lock() {
-                *s = None;
-            }
-        }
         let req = AllocRequest {
             job: job.id,
             nodes: job.nodes,
@@ -772,7 +676,7 @@ impl<'t> Engine<'t> {
                 .map(|(p, _)| CollectiveSpec::new(*p, self.cfg.msize)),
             attempt,
         };
-        let nodes = selector.select(self.tree, state, &req).ok()?;
+        let (nodes, sa) = selector.select_with_stats(self.tree, state, &req).ok()?;
 
         if !job.nature.is_comm() || job.comm.is_empty() {
             return Some(Placed {
@@ -781,6 +685,7 @@ impl<'t> Engine<'t> {
                 cost_default: 0.0,
                 adjusted: job.runtime,
                 comm_ratio: 1.0,
+                sa,
             });
         }
 
@@ -801,73 +706,38 @@ impl<'t> Engine<'t> {
         // overlay inside the evaluator (the paper's worked example counts
         // the job's own nodes). With matching trunk discounts (the default:
         // both models use the paper's ½) one traversal per component yields
-        // both the reported cost and the Eq. 7 term.
-        let fused = self.cfg.cost_model.trunk_discount == self.cfg.ratio_model.trunk_discount;
+        // both the reported cost and the Eq. 7 term; otherwise the ratio
+        // model gets its own traversal. The hop memo is tagged with the
+        // discount, so alternating discounts changes no value.
+        let (cm, rm) = (&self.cfg.cost_model, &self.cfg.ratio_model);
         let specs: Vec<CollectiveSpec> = job
             .comm
             .iter()
             .map(|&(pattern, _)| CollectiveSpec::new(pattern, self.cfg.msize))
             .collect();
-        let eval_all = |ev: &mut PlacementEvaluator,
-                        alloc: &[commsched_topology::NodeId]|
-         -> Vec<(f64, f64)> {
-            if fused {
+        let (actual, default) = {
+            // Lock order: always after selector.select() has returned (the
+            // adaptive selector takes the same lock inside select()).
+            // detlint: allow(P1) — a poisoned mutex means another thread
+            // already panicked mid-evaluation; propagating is the only
+            // sound response.
+            let mut ev = self.eval.lock().expect("evaluator mutex poisoned");
+            let mut eval_all = |alloc: &[NodeId]| -> Vec<(f64, f64)> {
                 specs
                     .iter()
                     .map(|spec| {
-                        let t = ev.evaluate(
-                            self.tree,
-                            state,
-                            self.cfg.cost_model.trunk_discount,
-                            alloc,
-                            spec,
-                        );
-                        (
-                            t.for_model(&self.cfg.cost_model),
-                            t.for_model(&self.cfg.ratio_model),
-                        )
+                        let t = ev.evaluate(self.tree, state, cm.trunk_discount, alloc, spec);
+                        let r = if rm.trunk_discount == cm.trunk_discount {
+                            t
+                        } else {
+                            ev.evaluate(self.tree, state, rm.trunk_discount, alloc, spec)
+                        };
+                        (t.for_model(cm), r.for_model(rm))
                     })
                     .collect()
-            } else {
-                // Distinct discounts: two grouped passes, so each
-                // discount's hop memo still serves all the components.
-                let reported: Vec<f64> = specs
-                    .iter()
-                    .map(|spec| {
-                        ev.evaluate(
-                            self.tree,
-                            state,
-                            self.cfg.cost_model.trunk_discount,
-                            alloc,
-                            spec,
-                        )
-                        .for_model(&self.cfg.cost_model)
-                    })
-                    .collect();
-                let ratios: Vec<f64> = specs
-                    .iter()
-                    .map(|spec| {
-                        ev.evaluate(
-                            self.tree,
-                            state,
-                            self.cfg.ratio_model.trunk_discount,
-                            alloc,
-                            spec,
-                        )
-                        .for_model(&self.cfg.ratio_model)
-                    })
-                    .collect();
-                reported.into_iter().zip(ratios).collect()
-            }
+            };
+            (eval_all(&nodes), eval_all(&default_nodes))
         };
-        // Lock order: always after selector.select() has returned (the
-        // adaptive selector takes the same lock inside select()).
-        // detlint: allow(P1) — a poisoned mutex means another thread already
-        // panicked mid-evaluation; propagating is the only sound response.
-        let mut ev = self.eval.lock().expect("evaluator mutex poisoned");
-        let actual = eval_all(&mut ev, &nodes);
-        let default = eval_all(&mut ev, &default_nodes);
-        drop(ev);
 
         let mut cost_actual = 0.0;
         let mut cost_default = 0.0;
@@ -902,6 +772,7 @@ impl<'t> Engine<'t> {
             cost_default,
             adjusted: u64_of_f64(adjusted.round().max(1.0)),
             comm_ratio,
+            sa,
         })
     }
 
@@ -999,10 +870,8 @@ impl<'t> Engine<'t> {
         recorder: &mut dyn Recorder,
         registry: &mut Registry,
     ) -> Result<RunSummary, EngineError> {
-        let mut obs = Obs::new(registry, Tracer::new(recorder));
+        let obs = Obs::new(registry, Tracer::new(recorder));
         self.validate(log)?;
-        let capacity = self.tree.num_nodes() - self.drained.len();
-        let selector = self.build_selector();
         for &n in &self.drained {
             // A freshly-built state has every node up and free, so a
             // whole-run drain goes straight to Down.
@@ -1010,256 +879,222 @@ impl<'t> Engine<'t> {
                 .set_down(self.tree, n)
                 .map_err(|e| EngineError::StateInconsistency(format!("draining {n:?}: {e}")))?;
         }
-        let mut events: BinaryHeap<Reverse<(u64, EventKind)>> = BinaryHeap::new();
+        Run::new(self, log, state, obs).run()
+    }
+}
+
+/// One continuous run (§5.4): the leased cluster state, the selector and
+/// the queue state the event loop mutates, with the virtual time `now` of
+/// the events being processed. Its methods are the event handlers.
+struct Run<'a, 'r> {
+    eng: &'a Engine<'a>,
+    log: &'a JobLog,
+    state: &'a mut ClusterState,
+    selector: Box<dyn NodeSelector>,
+    obs: Obs<'a, 'r>,
+    events: BinaryHeap<Reverse<(u64, EventKind)>>,
+    /// FIFO queue of log indices; `pending[0]` is the queue head.
+    pending: Vec<usize>,
+    /// Running jobs: (expected end by walltime, log index, attempt).
+    running: Vec<(u64, usize, u32)>,
+    outcomes: Vec<JobOutcome>,
+    /// Per-job requeue count and destroyed node-seconds, accumulated
+    /// across attempts; the count at start time doubles as the attempt
+    /// number that pairs a Finish event with its running entry.
+    retries: Vec<u32>,
+    lost: Vec<u64>,
+    /// Per-directed-link capacity factors, alive only when the fault
+    /// trace degrades links — failure-free runs never allocate or scan
+    /// this, keeping their placement arithmetic untouched.
+    link_factors: Vec<f64>,
+    now: u64,
+}
+
+impl<'a, 'r> Run<'a, 'r> {
+    fn new(
+        eng: &'a Engine<'a>,
+        log: &'a JobLog,
+        state: &'a mut ClusterState,
+        obs: Obs<'a, 'r>,
+    ) -> Self {
+        let mut events = BinaryHeap::new();
         for (i, j) in log.jobs.iter().enumerate() {
             events.push(Reverse((j.submit, EventKind::Submit(i))));
         }
-        for (k, e) in self.faults.events().iter().enumerate() {
+        for (k, e) in eng.faults.events().iter().enumerate() {
             events.push(Reverse((e.t, EventKind::Fault(u32_of_usize(k)))));
         }
-
-        // FIFO queue of log indices; pending[0] is the queue head.
-        let mut pending: Vec<usize> = Vec::new();
-        // Running jobs: (expected_end_by_walltime, log idx, attempt).
-        let mut running: Vec<(u64, usize, u32)> = Vec::new();
-        let mut outcomes: Vec<JobOutcome> = Vec::new();
-        // Per-job requeue count and destroyed node-seconds, accumulated
-        // across attempts; the counts at start time double as the attempt
-        // number that pairs a Finish event with its running entry.
-        let mut retries: Vec<u32> = vec![0; log.jobs.len()];
-        let mut lost: Vec<u64> = vec![0; log.jobs.len()];
-        let mut makespan = 0u64;
-        // Per-directed-link capacity factors, alive only when the fault
-        // trace degrades links — failure-free runs never allocate or scan
-        // this, keeping their placement arithmetic untouched.
-        let mut link_factors: Vec<f64> = if self.faults.has_domain(FaultDomain::Link) {
-            vec![1.0; self.tree.num_directed_links()]
+        let link_factors = if eng.faults.has_domain(FaultDomain::Link) {
+            vec![1.0; eng.tree.num_directed_links()]
         } else {
             Vec::new()
         };
+        Run {
+            eng,
+            log,
+            state,
+            selector: eng.build_selector(),
+            obs,
+            events,
+            pending: Vec::new(),
+            running: Vec::new(),
+            outcomes: Vec::new(),
+            retries: vec![0; log.jobs.len()],
+            lost: vec![0; log.jobs.len()],
+            link_factors,
+            now: 0,
+        }
+    }
 
-        while let Some(Reverse((now, _))) = events.peek().copied() {
+    /// Process every event instant in order, with one scheduling pass
+    /// after each, then close the run.
+    fn run(mut self) -> Result<RunSummary, EngineError> {
+        while let Some(&Reverse((now, _))) = self.events.peek() {
+            self.now = now;
             // Drain all events at `now` (finishes first, then faults, then
             // submits, via enum ordering).
-            while let Some(Reverse((t, ev))) = events.peek().copied() {
+            while let Some(&Reverse((t, ev))) = self.events.peek() {
                 if t != now {
                     break;
                 }
-                events.pop();
+                self.events.pop();
                 match ev {
-                    EventKind::Finish(id, att) => {
-                        let live = running
-                            .iter()
-                            .any(|&(_, i, a)| log.jobs[i].id == id && a == att);
-                        if !live {
-                            // Stale finish of an attempt killed by a fault.
-                            continue;
-                        }
-                        state.release(self.tree, id).map_err(|e| {
-                            EngineError::StateInconsistency(format!("releasing {id}: {e}"))
-                        })?;
-                        running.retain(|&(_, i, a)| log.jobs[i].id != id || a != att);
-                        obs.tr.emit(
-                            us(now),
-                            TK::JobFinish {
-                                job: id.0,
-                                attempt: att,
-                                status: EndStatus::Completed,
-                            },
-                        );
-                        obs.reg.inc(obs.c_completed, 1);
-                    }
-                    EventKind::Fault(k) => self.apply_fault(
-                        usize_of_u32(k),
-                        now,
-                        log,
-                        &mut *state,
-                        &mut pending,
-                        &mut running,
-                        &mut events,
-                        &mut outcomes,
-                        &mut retries,
-                        &mut lost,
-                        &mut link_factors,
-                        &mut obs,
-                    )?,
-                    EventKind::Submit(i) => {
-                        let job = &log.jobs[i];
-                        if retries[i] == 0 {
-                            // First entry; requeue re-submissions skip this.
-                            obs.tr.emit(
-                                us(now),
-                                TK::JobSubmit {
-                                    job: job.id.0,
-                                    nodes: u64_of_usize(job.nodes),
-                                },
-                            );
-                            obs.reg.inc(obs.c_submitted, 1);
-                        }
-                        if job.nodes > capacity {
-                            // Only reachable under OversizedPolicy::Reject —
-                            // Abort already returned from validate().
-                            outcomes.push(Self::rejected_outcome(job, 0, 0));
-                            obs.tr.emit(us(now), TK::JobReject { job: job.id.0 });
-                            obs.reg.inc(obs.c_rejected, 1);
-                        } else {
-                            pending.push(i);
-                            obs.tr.emit(
-                                us(now),
-                                TK::JobEligible {
-                                    job: job.id.0,
-                                    attempt: retries[i],
-                                },
-                            );
-                        }
-                    }
+                    EventKind::Finish(id, att) => self.complete(id, att)?,
+                    EventKind::Fault(k) => self.apply_fault(usize_of_u32(k))?,
+                    EventKind::Submit(i) => self.submit(i),
                 }
             }
-
-            // Scheduling pass.
-            self.schedule_pass(
-                now,
-                log,
-                selector.as_ref(),
-                &mut *state,
-                &mut pending,
-                &mut running,
-                &mut events,
-                &mut outcomes,
-                &retries,
-                &lost,
-                &link_factors,
-                &mut obs,
-            )?;
-            makespan = makespan.max(now);
+            self.schedule_pass()?;
         }
-
-        // Jobs still queued when the event stream runs dry can never start
-        // (wider than the surviving capacity, or FIFO-stuck behind one that
-        // is): record them as rejected instead of looping or losing them.
-        // Unreachable without faults — validate() guarantees every job fits
-        // the full machine, so a failure-free queue always drains.
-        for &i in &pending {
-            outcomes.push(Self::rejected_outcome(&log.jobs[i], retries[i], lost[i]));
-            obs.tr.emit(
-                us(makespan),
-                TK::JobReject {
-                    job: log.jobs[i].id.0,
-                },
-            );
-            obs.reg.inc(obs.c_rejected, 1);
-        }
-        pending.clear();
-        debug_assert!(running.is_empty(), "jobs left running");
-        debug_assert_eq!(outcomes.len(), log.jobs.len());
-        let makespan = outcomes.iter().map(|o| o.end).max().unwrap_or(makespan);
-
-        // End-of-run distributions and totals, in outcome (completion)
-        // order — a pure function of the outcomes, so reports stay
-        // deterministic.
-        let h_wait = obs.reg.hist("job.wait_s");
-        let h_exec = obs.reg.hist("job.exec_s");
-        let mut lost_total = 0u64;
-        for o in &outcomes {
-            if o.status == JobStatus::Completed {
-                obs.reg.observe(h_wait, f64_of_u64(o.wait()));
-                obs.reg.observe(h_exec, f64_of_u64(o.exec()));
-            }
-            lost_total = lost_total.saturating_add(o.lost_node_seconds);
-        }
-        let g_makespan = obs.reg.gauge("makespan_s");
-        obs.reg.set(g_makespan, f64_of_u64(makespan));
-        let g_lost = obs.reg.gauge("lost_node_seconds");
-        obs.reg.set(g_lost, f64_of_u64(lost_total));
-
-        Ok(RunSummary {
-            selector: self.cfg.selector.name().to_string(),
-            outcomes,
-            makespan,
-        })
+        Ok(self.finish())
     }
 
-    /// Apply one fault-trace event at `now`: kill the victim job (per the
-    /// configured [`FailurePolicy`]) and transition the node's lifecycle
-    /// state. Lenient on redundant transitions (failing a down node,
+    /// A job's finish event: release its nodes, unless the finish is the
+    /// stale one of an attempt a fault already killed.
+    fn complete(&mut self, id: JobId, att: u32) -> Result<(), EngineError> {
+        let log = self.log;
+        let Some(pos) = self
+            .running
+            .iter()
+            .position(|&(_, i, a)| log.jobs[i].id == id && a == att)
+        else {
+            return Ok(());
+        };
+        self.state
+            .release(self.eng.tree, id)
+            .map_err(|e| EngineError::StateInconsistency(format!("releasing {id}: {e}")))?;
+        self.running.remove(pos);
+        self.obs.tr.emit(
+            us(self.now),
+            TK::JobFinish {
+                job: id.0,
+                attempt: att,
+                status: EndStatus::Completed,
+            },
+        );
+        self.obs.reg.inc(self.obs.c_completed, 1);
+        Ok(())
+    }
+
+    /// Log job `i` enters the queue (first submission or a backed-off
+    /// requeue), or is rejected outright if it is wider than the machine.
+    fn submit(&mut self, i: usize) {
+        let job = &self.log.jobs[i];
+        let now = us(self.now);
+        if self.retries[i] == 0 {
+            // First entry; requeue re-submissions skip this.
+            self.obs.tr.emit(
+                now,
+                TK::JobSubmit {
+                    job: job.id.0,
+                    nodes: u64_of_usize(job.nodes),
+                },
+            );
+            self.obs.reg.inc(self.obs.c_submitted, 1);
+        }
+        if job.nodes > self.eng.tree.num_nodes() - self.eng.drained.len() {
+            // Only reachable under OversizedPolicy::Reject — Abort already
+            // returned from validate().
+            self.outcomes.push(Engine::rejected_outcome(job, 0, 0));
+            self.obs.tr.emit(now, TK::JobReject { job: job.id.0 });
+            self.obs.reg.inc(self.obs.c_rejected, 1);
+        } else {
+            self.pending.push(i);
+            self.obs.tr.emit(
+                now,
+                TK::JobEligible {
+                    job: job.id.0,
+                    attempt: self.retries[i],
+                },
+            );
+        }
+    }
+
+    /// Apply fault-trace event `k`: kill the victim jobs (per the
+    /// configured [`FailurePolicy`]) and transition the node, switch or
+    /// link. Lenient on redundant transitions (failing a down node,
     /// recovering an up node): explicit traces need not be minimal.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault(
-        &self,
-        k: usize,
-        now: u64,
-        log: &JobLog,
-        state: &mut ClusterState,
-        pending: &mut Vec<usize>,
-        running: &mut Vec<(u64, usize, u32)>,
-        events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-        outcomes: &mut Vec<JobOutcome>,
-        retries: &mut [u32],
-        lost: &mut [u64],
-        link_factors: &mut [f64],
-        obs: &mut Obs<'_, '_>,
-    ) -> Result<(), EngineError> {
+    fn apply_fault(&mut self, k: usize) -> Result<(), EngineError> {
         use commsched_core::NodeHealth;
 
-        let e = self.faults.events()[k];
-        obs.reg.inc(obs.c_faults, 1);
+        let tree = self.eng.tree;
+        let e = self.eng.faults.events()[k];
+        let now = us(self.now);
+        self.obs.reg.inc(self.obs.c_faults, 1);
         match e.kind {
             FaultKind::Fail => {
                 let n = NodeId(e.node);
-                obs.tr.emit(
-                    us(now),
+                self.obs.tr.emit(
+                    now,
                     TK::Fault {
                         node: u64_of_usize(e.node),
                         kind: FaultClass::Fail,
                     },
                 );
-                if let Some(victim) = state.job_on(n) {
-                    self.kill_victim(
-                        victim, now, log, state, pending, running, events, outcomes, retries, lost,
-                        obs,
-                    )?;
+                if let Some(victim) = self.state.job_on(n) {
+                    self.kill_victim(victim)?;
                 }
                 // The kill freed the node — unless it was draining, in
                 // which case release already completed the drain to Down.
-                if state.health(n) != NodeHealth::Down {
-                    state.set_down(self.tree, n).map_err(|e| {
+                if self.state.health(n) != NodeHealth::Down {
+                    self.state.set_down(tree, n).map_err(|e| {
                         EngineError::StateInconsistency(format!("failing node {n:?}: {e}"))
                     })?;
                 }
             }
             FaultKind::Recover => {
                 let n = NodeId(e.node);
-                obs.tr.emit(
-                    us(now),
+                self.obs.tr.emit(
+                    now,
                     TK::Fault {
                         node: u64_of_usize(e.node),
                         kind: FaultClass::Recover,
                     },
                 );
-                if state.health(n) != NodeHealth::Up {
-                    state.set_up(self.tree, n).map_err(|e| {
+                if self.state.health(n) != NodeHealth::Up {
+                    self.state.set_up(tree, n).map_err(|e| {
                         EngineError::StateInconsistency(format!("recovering node {n:?}: {e}"))
                     })?;
                 }
             }
             FaultKind::Drain => {
                 let n = NodeId(e.node);
-                obs.tr.emit(
-                    us(now),
+                self.obs.tr.emit(
+                    now,
                     TK::Fault {
                         node: u64_of_usize(e.node),
                         kind: FaultClass::Drain,
                     },
                 );
-                if state.health(n) != NodeHealth::Down {
-                    state.set_draining(self.tree, n).map_err(|e| {
+                if self.state.health(n) != NodeHealth::Down {
+                    self.state.set_draining(tree, n).map_err(|e| {
                         EngineError::StateInconsistency(format!("draining node {n:?}: {e}"))
                     })?;
                 }
             }
             FaultKind::SwitchDown => {
                 let s = SwitchId(e.node);
-                let already = state.switch_is_down(s);
+                let already = self.state.switch_is_down(s);
                 // Victim set first (in JobId order, off the deterministic
                 // allocation map), so the blast radius is on the trace
                 // event before the individual kill records.
@@ -1267,90 +1102,87 @@ impl<'t> Engine<'t> {
                     Vec::new()
                 } else {
                     let under: std::collections::BTreeSet<usize> =
-                        self.tree.leaf_ordinals_under(s).iter().copied().collect();
-                    state
+                        tree.leaf_ordinals_under(s).iter().copied().collect();
+                    self.state
                         .allocations()
                         .filter(|(_, a)| {
                             a.nodes
                                 .iter()
-                                .any(|&n| under.contains(&self.tree.leaf_ordinal_of(n)))
+                                .any(|&n| under.contains(&tree.leaf_ordinal_of(n)))
                         })
                         .map(|(j, _)| j)
                         .collect()
                 };
-                obs.tr.emit(
-                    us(now),
+                self.obs.tr.emit(
+                    now,
                     TK::SwitchFault {
                         switch: u64_of_usize(e.node),
                         kind: FaultClass::Fail,
                         victims: u64_of_usize(victims.len()),
-                        nodes: u64_of_usize(self.tree.subtree_nodes(s)),
+                        nodes: u64_of_usize(tree.subtree_nodes(s)),
                     },
                 );
                 // Registered lazily: failure-free (and switch-free) runs
                 // keep their report byte layout.
-                let c = obs.reg.counter("faults.switch.applied");
-                obs.reg.inc(c, 1);
+                let c = self.obs.reg.counter("faults.switch.applied");
+                self.obs.reg.inc(c, 1);
                 if !victims.is_empty() {
-                    let c = obs.reg.counter("faults.switch.victims");
-                    obs.reg.inc(c, u64_of_usize(victims.len()));
+                    let c = self.obs.reg.counter("faults.switch.victims");
+                    self.obs.reg.inc(c, u64_of_usize(victims.len()));
                 }
                 for victim in victims {
-                    self.kill_victim(
-                        victim, now, log, state, pending, running, events, outcomes, retries, lost,
-                        obs,
-                    )?;
+                    self.kill_victim(victim)?;
                 }
                 if !already {
-                    state.set_switch_down(self.tree, s).map_err(|e| {
+                    self.state.set_switch_down(tree, s).map_err(|e| {
                         EngineError::StateInconsistency(format!("failing switch {s:?}: {e}"))
                     })?;
                 }
             }
             FaultKind::SwitchUp => {
                 let s = SwitchId(e.node);
-                obs.tr.emit(
-                    us(now),
+                self.obs.tr.emit(
+                    now,
                     TK::SwitchFault {
                         switch: u64_of_usize(e.node),
                         kind: FaultClass::Recover,
                         victims: 0,
-                        nodes: u64_of_usize(self.tree.subtree_nodes(s)),
+                        nodes: u64_of_usize(tree.subtree_nodes(s)),
                     },
                 );
-                let c = obs.reg.counter("faults.switch.applied");
-                obs.reg.inc(c, 1);
-                if state.switch_is_down(s) {
-                    state.set_switch_up(self.tree, s).map_err(|e| {
+                let c = self.obs.reg.counter("faults.switch.applied");
+                self.obs.reg.inc(c, 1);
+                if self.state.switch_is_down(s) {
+                    self.state.set_switch_up(tree, s).map_err(|e| {
                         EngineError::StateInconsistency(format!("recovering switch {s:?}: {e}"))
                     })?;
                 }
             }
             FaultKind::LinkDegrade { permille } => {
-                obs.tr.emit(
-                    us(now),
+                self.obs.tr.emit(
+                    now,
                     TK::LinkFault {
                         link: u64_of_usize(e.node),
                         capacity_permille: u64::from(permille),
                     },
                 );
-                let c = obs.reg.counter("faults.link.applied");
-                obs.reg.inc(c, 1);
-                if let Some(f) = link_factors.get_mut(e.node) {
+                let c = self.obs.reg.counter("faults.link.applied");
+                self.obs.reg.inc(c, 1);
+                if let Some(f) = self.link_factors.get_mut(e.node) {
                     *f = f64::from(permille) / 1000.0;
                 }
             }
             FaultKind::LinkRestore => {
-                obs.tr.emit(
-                    us(now),
+                self.obs.tr.emit(
+                    now,
                     TK::LinkFault {
                         link: u64_of_usize(e.node),
                         capacity_permille: 1000,
                     },
                 );
-                let c = obs.reg.counter("faults.link.applied");
-                obs.reg.inc(c, 1);
-                if let Some(f) = link_factors.get_mut(e.node) {
+                let c = self.obs.reg.counter("faults.link.applied");
+                self.obs.reg.inc(c, 1);
+                if let Some(f) = self.link_factors.get_mut(e.node) {
                     *f = 1.0;
                 }
             }
@@ -1358,38 +1190,27 @@ impl<'t> Engine<'t> {
         Ok(())
     }
 
-    /// Kill one running job for a fault at `now`: release its nodes,
-    /// account the destroyed node-seconds, and cancel or requeue it per
-    /// the configured [`FailurePolicy`]. Shared by node `Fail` and the
-    /// subtree kills of `SwitchDown`.
-    #[allow(clippy::too_many_arguments)]
-    fn kill_victim(
-        &self,
-        victim: JobId,
-        now: u64,
-        log: &JobLog,
-        state: &mut ClusterState,
-        pending: &mut Vec<usize>,
-        running: &mut Vec<(u64, usize, u32)>,
-        events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-        outcomes: &mut Vec<JobOutcome>,
-        retries: &mut [u32],
-        lost: &mut [u64],
-        obs: &mut Obs<'_, '_>,
-    ) -> Result<(), EngineError> {
-        let pos = running
+    /// Kill one running job for a fault: release its nodes, account the
+    /// destroyed node-seconds, and cancel or requeue it per the configured
+    /// [`FailurePolicy`]. Shared by node `Fail` and the subtree kills of
+    /// `SwitchDown`.
+    fn kill_victim(&mut self, victim: JobId) -> Result<(), EngineError> {
+        let log = self.log;
+        let now = self.now;
+        let pos = self
+            .running
             .iter()
             .position(|&(_, i, _)| log.jobs[i].id == victim);
         debug_assert!(pos.is_some(), "allocated job must be running");
         let Some(pos) = pos else {
             return Ok(());
         };
-        let (_, i, _) = running[pos];
-        running.remove(pos);
-        let alloc = state.release(self.tree, victim).map_err(|e| {
+        let (_, i, _) = self.running.remove(pos);
+        let alloc = self.state.release(self.eng.tree, victim).map_err(|e| {
             EngineError::StateInconsistency(format!("releasing fault victim {victim}: {e}"))
         })?;
-        let opos = outcomes
+        let opos = self
+            .outcomes
             .iter()
             .rposition(|o| o.id == victim)
             .ok_or_else(|| {
@@ -1397,206 +1218,203 @@ impl<'t> Engine<'t> {
                     "running job {victim} has no outcome record"
                 ))
             })?;
-        let started = outcomes[opos].start;
+        let started = self.outcomes[opos].start;
         let wasted = (now - started) * u64_of_usize(alloc.nodes.len());
-        lost[i] = lost[i].saturating_add(wasted);
+        self.lost[i] = self.lost[i].saturating_add(wasted);
+        let attempt = self.retries[i];
         // None = cancel; Some(None) = requeue at the front;
         // Some(Some(backoff)) = requeue at the back.
-        let requeue = match self.cfg.failure_policy {
+        let requeue = match self.eng.cfg.failure_policy {
             FailurePolicy::Cancel => None,
             FailurePolicy::Requeue {
                 max_retries,
                 backoff,
-            } => (retries[i] < max_retries).then_some(Some(backoff)),
+            } => (attempt < max_retries).then_some(Some(backoff)),
             FailurePolicy::RequeueFront => Some(None),
         };
-        match requeue {
-            None => {
-                let o = &mut outcomes[opos];
-                o.end = now;
-                o.runtime_adjusted = now - started;
-                o.status = JobStatus::Cancelled;
-                o.retries = retries[i];
-                o.lost_node_seconds = lost[i];
-                obs.tr.emit(
-                    us(now),
-                    TK::JobFinish {
-                        job: victim.0,
-                        attempt: retries[i],
-                        status: EndStatus::Cancelled,
-                    },
-                );
-                obs.reg.inc(obs.c_cancelled, 1);
-            }
-            Some(None) => {
-                obs.tr.emit(
-                    us(now),
-                    TK::JobRequeue {
-                        job: victim.0,
-                        attempt: retries[i],
-                        resubmit_us: us(now),
-                    },
-                );
-                obs.reg.inc(obs.c_requeued, 1);
-                retries[i] += 1;
-                outcomes.remove(opos);
-                pending.insert(0, i);
-                obs.tr.emit(
-                    us(now),
-                    TK::JobEligible {
-                        job: victim.0,
-                        attempt: retries[i],
-                    },
-                );
-            }
-            Some(Some(backoff)) => {
-                obs.tr.emit(
-                    us(now),
-                    TK::JobRequeue {
-                        job: victim.0,
-                        attempt: retries[i],
-                        resubmit_us: us(now.saturating_add(backoff)),
-                    },
-                );
-                obs.reg.inc(obs.c_requeued, 1);
-                retries[i] += 1;
-                outcomes.remove(opos);
-                events.push(Reverse((now.saturating_add(backoff), EventKind::Submit(i))));
-            }
+        let Some(backoff) = requeue else {
+            let o = &mut self.outcomes[opos];
+            o.end = now;
+            o.runtime_adjusted = now - started;
+            o.status = JobStatus::Cancelled;
+            o.retries = attempt;
+            o.lost_node_seconds = self.lost[i];
+            self.obs.tr.emit(
+                us(now),
+                TK::JobFinish {
+                    job: victim.0,
+                    attempt,
+                    status: EndStatus::Cancelled,
+                },
+            );
+            self.obs.reg.inc(self.obs.c_cancelled, 1);
+            return Ok(());
+        };
+        let resubmit = now.saturating_add(backoff.unwrap_or(0));
+        self.obs.tr.emit(
+            us(now),
+            TK::JobRequeue {
+                job: victim.0,
+                attempt,
+                resubmit_us: us(resubmit),
+            },
+        );
+        self.obs.reg.inc(self.obs.c_requeued, 1);
+        self.retries[i] += 1;
+        self.outcomes.remove(opos);
+        if backoff.is_some() {
+            self.events.push(Reverse((resubmit, EventKind::Submit(i))));
+        } else {
+            self.pending.insert(0, i);
+            self.obs.tr.emit(
+                us(now),
+                TK::JobEligible {
+                    job: victim.0,
+                    attempt: attempt + 1,
+                },
+            );
         }
         Ok(())
     }
 
-    /// Drain the SA selector's last search record (if one ran) into the
-    /// `sa_search` trace event and the lazy SA counters. A no-op — and
-    /// byte-neutral for traces and reports — under every other selector,
-    /// and for budget-0/compute placements where no search runs.
-    fn emit_sa(&self, now: u64, obs: &mut Obs<'_, '_>) {
-        let Some(st) = self.sa_stats.lock().ok().and_then(|mut s| s.take()) else {
-            return;
+    /// Place and start log job `i` now, emitting its `sa_search` (when the
+    /// selector searched), `job_place` and `job_start`. `Ok(false)` when
+    /// the placement was declined; nothing changes then.
+    fn start_job(&mut self, i: usize, backfilled: bool) -> Result<bool, EngineError> {
+        let (eng, now) = (self.eng, self.now);
+        let job = &self.log.jobs[i];
+        let attempt = self.retries[i];
+        let Some(mut placed) = eng.place(
+            self.state,
+            job,
+            self.selector.as_ref(),
+            &self.link_factors,
+            attempt,
+        ) else {
+            return Ok(false);
         };
-        obs.tr.emit(
-            us(now),
-            TK::SaSearch {
-                job: st.job.0,
-                attempt: st.attempt,
-                budget: u64::from(st.budget),
-                evals: u64::from(st.evals),
-                accepted: u64::from(st.accepted),
-                rejected: u64::from(st.rejected),
-                cost_incumbent: st.cost_incumbent,
-                cost_final: st.cost_final,
-            },
-        );
-        // Registered lazily, like the fault counters: non-SA runs keep
-        // their report byte layout.
-        let c = obs.reg.counter("sa.searches");
-        obs.reg.inc(c, 1);
-        let c = obs.reg.counter("sa.evals");
-        obs.reg.inc(c, u64::from(st.evals));
-        if st.cost_final < st.cost_incumbent {
-            let c = obs.reg.counter("sa.improved");
-            obs.reg.inc(c, 1);
+        if eng.cfg.enforce_walltime {
+            placed.adjusted = placed.adjusted.min(job.walltime);
         }
-    }
+        self.state
+            .allocate(eng.tree, job.id, &placed.nodes, job.nature)
+            .map_err(|e| {
+                EngineError::StateInconsistency(format!(
+                    "allocating {} on selector-chosen nodes: {e}",
+                    job.id
+                ))
+            })?;
+        let end = now + placed.adjusted;
+        self.running
+            .push((now + job.walltime.max(placed.adjusted), i, attempt));
+        self.events
+            .push(Reverse((end, EventKind::Finish(job.id, attempt))));
+        self.outcomes.push(JobOutcome {
+            id: job.id,
+            submit: job.submit,
+            start: now,
+            end,
+            nodes: job.nodes,
+            nature: job.nature,
+            cost_actual: placed.cost_actual,
+            cost_default: placed.cost_default,
+            runtime_original: job.runtime,
+            runtime_adjusted: placed.adjusted,
+            comm_ratio: placed.comm_ratio,
+            status: JobStatus::Completed,
+            retries: attempt,
+            lost_node_seconds: self.lost[i],
+        });
 
-    /// One pass of the scheduler: start the head while it fits, then EASY
-    /// backfill behind its reservation.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_pass(
-        &self,
-        now: u64,
-        log: &JobLog,
-        selector: &dyn NodeSelector,
-        state: &mut ClusterState,
-        pending: &mut Vec<usize>,
-        running: &mut Vec<(u64, usize, u32)>,
-        events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-        outcomes: &mut Vec<JobOutcome>,
-        retries: &[u32],
-        lost: &[u64],
-        links: &[f64],
-        obs: &mut Obs<'_, '_>,
-    ) -> Result<(), EngineError> {
-        obs.reg.inc(obs.c_passes, 1);
-        let start_job = |i: usize,
-                         state: &mut ClusterState,
-                         running: &mut Vec<(u64, usize, u32)>,
-                         events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-                         outcomes: &mut Vec<JobOutcome>|
-         -> Result<bool, EngineError> {
-            let job = &log.jobs[i];
-            let Some(mut placed) = self.place(state, job, selector, links, retries[i]) else {
-                return Ok(false);
-            };
-            if self.cfg.enforce_walltime {
-                placed.adjusted = placed.adjusted.min(job.walltime);
+        let (obs, t) = (&mut self.obs, us(now));
+        if let Some(st) = placed.sa {
+            obs.tr.emit(
+                t,
+                TK::SaSearch {
+                    job: st.job.0,
+                    attempt: st.attempt,
+                    budget: u64::from(st.budget),
+                    evals: u64::from(st.evals),
+                    accepted: u64::from(st.accepted),
+                    rejected: u64::from(st.rejected),
+                    cost_incumbent: st.cost_incumbent,
+                    cost_final: st.cost_final,
+                },
+            );
+            // Registered lazily, like the fault counters: non-SA runs keep
+            // their report byte layout.
+            let c = obs.reg.counter("sa.searches");
+            obs.reg.inc(c, 1);
+            let c = obs.reg.counter("sa.evals");
+            obs.reg.inc(c, u64::from(st.evals));
+            if st.cost_final < st.cost_incumbent {
+                let c = obs.reg.counter("sa.improved");
+                obs.reg.inc(c, 1);
             }
-            state
-                .allocate(self.tree, job.id, &placed.nodes, job.nature)
-                .map_err(|e| {
-                    EngineError::StateInconsistency(format!(
-                        "allocating {} on selector-chosen nodes: {e}",
-                        job.id
-                    ))
-                })?;
-            let end = now + placed.adjusted;
-            running.push((now + job.walltime.max(placed.adjusted), i, retries[i]));
-            events.push(Reverse((end, EventKind::Finish(job.id, retries[i]))));
-            outcomes.push(JobOutcome {
-                id: job.id,
-                submit: job.submit,
-                start: now,
-                end,
-                nodes: job.nodes,
-                nature: job.nature,
+        }
+        let nodes = u64_of_usize(job.nodes);
+        obs.tr.emit(
+            t,
+            TK::JobPlace {
+                job: job.id.0,
+                attempt,
+                nodes,
                 cost_actual: placed.cost_actual,
                 cost_default: placed.cost_default,
-                runtime_original: job.runtime,
-                runtime_adjusted: placed.adjusted,
-                comm_ratio: placed.comm_ratio,
-                status: JobStatus::Completed,
-                retries: retries[i],
-                lost_node_seconds: lost[i],
-            });
-            Ok(true)
-        };
+            },
+        );
+        obs.tr.emit(
+            t,
+            TK::JobStart {
+                job: job.id.0,
+                attempt,
+                nodes,
+                backfilled,
+            },
+        );
+        obs.reg.inc(obs.c_started, 1);
+        if backfilled {
+            obs.reg.inc(obs.c_backfilled, 1);
+        }
+        Ok(true)
+    }
 
-        // Start head-of-queue jobs while they fit.
-        while let Some(&head) = pending.first() {
-            if log.jobs[head].nodes <= state.free_total()
-                && start_job(head, state, running, events, outcomes)?
+    /// One pass of the scheduler: start the head while it fits, then
+    /// backfill behind it under the configured policy.
+    fn schedule_pass(&mut self) -> Result<(), EngineError> {
+        self.obs.reg.inc(self.obs.c_passes, 1);
+        while let Some(&head) = self.pending.first() {
+            if self.log.jobs[head].nodes <= self.state.free_total()
+                && self.start_job(head, false)?
             {
-                pending.remove(0);
-                self.emit_sa(now, obs);
-                if let Some(o) = outcomes.last() {
-                    obs.note_start(now, o, retries[head], false);
-                }
+                self.pending.remove(0);
             } else {
                 break;
             }
         }
-
-        if pending.is_empty() || self.cfg.backfill == BackfillPolicy::None {
+        if self.pending.is_empty() {
             return Ok(());
         }
-        if self.cfg.backfill == BackfillPolicy::Conservative {
-            return self.conservative_backfill_pass(
-                now, log, state, pending, running, events, outcomes, retries, obs, &start_job,
-            );
+        match self.eng.cfg.backfill {
+            BackfillPolicy::None => Ok(()),
+            BackfillPolicy::Easy => self.easy_backfill(),
+            BackfillPolicy::Conservative => self.conservative_backfill(),
         }
+    }
 
-        // EASY reservation for the head: find the shadow time when enough
-        // nodes will be free (by requested walltimes), and the extra nodes
-        // beyond the head's need at that moment.
-        let head = pending[0];
-        let need = log.jobs[head].nodes;
-        let mut ends: Vec<(u64, usize)> = running
+    /// EASY backfilling: reserve the shadow time at which enough nodes
+    /// free up (by requested walltimes) for the queue head, then start
+    /// later jobs that cannot delay that reservation.
+    fn easy_backfill(&mut self) -> Result<(), EngineError> {
+        let log = self.log;
+        let need = log.jobs[self.pending[0]].nodes;
+        let mut ends: Vec<(u64, usize)> = self
+            .running
             .iter()
             .map(|&(wall_end, i, _)| (wall_end, log.jobs[i].nodes))
             .collect();
         ends.sort_unstable();
-        let mut avail = state.free_total();
+        let mut avail = self.state.free_total();
         let mut shadow = u64::MAX;
         for &(t, n) in &ends {
             avail += n;
@@ -1605,21 +1423,17 @@ impl<'t> Engine<'t> {
                 break;
             }
         }
+        // Nodes beyond the head's need at the shadow time.
         let extra = avail.saturating_sub(need);
 
-        // Backfill later jobs that cannot delay the head's reservation.
         let mut k = 1;
-        while k < pending.len() {
-            let i = pending[k];
+        while k < self.pending.len() {
+            let i = self.pending[k];
             let job = &log.jobs[i];
-            let fits_now = job.nodes <= state.free_total();
-            let harmless = now.saturating_add(job.walltime) <= shadow || job.nodes <= extra;
-            if fits_now && harmless && start_job(i, state, running, events, outcomes)? {
-                pending.remove(k);
-                self.emit_sa(now, obs);
-                if let Some(o) = outcomes.last() {
-                    obs.note_start(now, o, retries[i], true);
-                }
+            let fits_now = job.nodes <= self.state.free_total();
+            let harmless = self.now.saturating_add(job.walltime) <= shadow || job.nodes <= extra;
+            if fits_now && harmless && self.start_job(i, true)? {
+                self.pending.remove(k);
             } else {
                 k += 1;
             }
@@ -1632,41 +1446,20 @@ impl<'t> Engine<'t> {
     /// earliest reservation that fits, and start only jobs whose
     /// reservation is *now*. Reservations are rebuilt from scratch on each
     /// pass, the standard implementation shape.
-    #[allow(clippy::too_many_arguments)]
-    fn conservative_backfill_pass<F>(
-        &self,
-        now: u64,
-        log: &JobLog,
-        state: &mut ClusterState,
-        pending: &mut Vec<usize>,
-        running: &mut Vec<(u64, usize, u32)>,
-        events: &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-        outcomes: &mut Vec<JobOutcome>,
-        retries: &[u32],
-        obs: &mut Obs<'_, '_>,
-        start_job: &F,
-    ) -> Result<(), EngineError>
-    where
-        F: Fn(
-            usize,
-            &mut ClusterState,
-            &mut Vec<(u64, usize, u32)>,
-            &mut BinaryHeap<Reverse<(u64, EventKind)>>,
-            &mut Vec<JobOutcome>,
-        ) -> Result<bool, EngineError>,
-    {
+    fn conservative_backfill(&mut self) -> Result<(), EngineError> {
         use std::collections::BTreeMap;
 
+        let (log, now) = (self.log, self.now);
         'restart: loop {
             // Availability deltas at future instants (all keys >= now).
             let mut deltas: BTreeMap<u64, i64> = BTreeMap::new();
-            for &(wall_end, i, _) in running.iter() {
+            for &(wall_end, i, _) in &self.running {
                 *deltas.entry(wall_end.max(now)).or_insert(0) += i64_of_usize(log.jobs[i].nodes);
             }
-            let base = i64_of_usize(state.free_total());
+            let base = i64_of_usize(self.state.free_total());
 
-            for k in 0..pending.len() {
-                let i = pending[k];
+            for k in 0..self.pending.len() {
+                let i = self.pending[k];
                 let job = &log.jobs[i];
                 let need = i64_of_usize(job.nodes);
                 let dur = job.walltime.max(1);
@@ -1677,14 +1470,10 @@ impl<'t> Engine<'t> {
                     continue;
                 };
                 if s == now
-                    && need <= i64_of_usize(state.free_total())
-                    && start_job(i, state, running, events, outcomes)?
+                    && need <= i64_of_usize(self.state.free_total())
+                    && self.start_job(i, k > 0)?
                 {
-                    pending.remove(k);
-                    self.emit_sa(now, obs);
-                    if let Some(o) = outcomes.last() {
-                        obs.note_start(now, o, retries[i], k > 0);
-                    }
+                    self.pending.remove(k);
                     // The profile base changed; rebuild and rescan.
                     continue 'restart;
                 }
@@ -1692,9 +1481,65 @@ impl<'t> Engine<'t> {
                 *deltas.entry(s).or_insert(0) -= need;
                 *deltas.entry(s.saturating_add(dur)).or_insert(0) += need;
             }
-            break;
+            return Ok(());
         }
-        Ok(())
+    }
+
+    /// Close the run once the event stream is dry. Jobs still queued can
+    /// never start (wider than the surviving capacity, or FIFO-stuck
+    /// behind one that is): they are recorded as rejected instead of
+    /// looping or being lost. Unreachable without faults — validate()
+    /// guarantees every job fits the full machine, so a failure-free
+    /// queue always drains.
+    fn finish(mut self) -> RunSummary {
+        let log = self.log;
+        for &i in &self.pending {
+            self.outcomes.push(Engine::rejected_outcome(
+                &log.jobs[i],
+                self.retries[i],
+                self.lost[i],
+            ));
+            self.obs.tr.emit(
+                us(self.now),
+                TK::JobReject {
+                    job: log.jobs[i].id.0,
+                },
+            );
+            self.obs.reg.inc(self.obs.c_rejected, 1);
+        }
+        debug_assert!(self.running.is_empty(), "jobs left running");
+        debug_assert_eq!(self.outcomes.len(), log.jobs.len());
+        let makespan = self
+            .outcomes
+            .iter()
+            .map(|o| o.end)
+            .max()
+            .unwrap_or(self.now);
+
+        // End-of-run distributions and totals, in outcome (completion)
+        // order — a pure function of the outcomes, so reports stay
+        // deterministic.
+        let reg = &mut *self.obs.reg;
+        let h_wait = reg.hist("job.wait_s");
+        let h_exec = reg.hist("job.exec_s");
+        let mut lost_total = 0u64;
+        for o in &self.outcomes {
+            if o.status == JobStatus::Completed {
+                reg.observe(h_wait, f64_of_u64(o.wait()));
+                reg.observe(h_exec, f64_of_u64(o.exec()));
+            }
+            lost_total = lost_total.saturating_add(o.lost_node_seconds);
+        }
+        let g_makespan = reg.gauge("makespan_s");
+        reg.set(g_makespan, f64_of_u64(makespan));
+        let g_lost = reg.gauge("lost_node_seconds");
+        reg.set(g_lost, f64_of_u64(lost_total));
+
+        RunSummary {
+            selector: self.eng.cfg.selector.name().to_string(),
+            outcomes: self.outcomes,
+            makespan,
+        }
     }
 }
 

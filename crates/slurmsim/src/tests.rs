@@ -863,33 +863,6 @@ mod properties {
     }
 }
 
-#[test]
-fn event_trace_is_ordered_and_balanced() {
-    let tree = small_tree();
-    let log = JobLog::new(
-        "tr",
-        vec![job(1, 0, 100, 3), job(2, 10, 100, 4), job(3, 20, 50, 1)],
-    );
-    let s = Engine::new(&tree, EngineConfig::new(SelectorKind::Default))
-        .run(&log)
-        .unwrap();
-    let events = s.events();
-    assert_eq!(events.len(), 6);
-    // Chronological, starts before finishes at equal t.
-    for w in events.windows(2) {
-        assert!((w[0].t, !w[0].start) <= (w[1].t, !w[1].start));
-    }
-    // Every job starts exactly once and finishes exactly once.
-    let starts = events.iter().filter(|e| e.start).count();
-    assert_eq!(starts, 3);
-    // JSON lines parse back.
-    for line in s.to_json_lines().lines() {
-        let v: serde_json::Value = serde_json::from_str(line).unwrap();
-        assert!(v["t"].is_u64());
-        assert!(v["event"] == "start" || v["event"] == "finish");
-    }
-}
-
 mod faults {
     use super::*;
     use crate::{FailurePolicy, JobStatus};

@@ -1,10 +1,12 @@
 //! Property tests for the trace layer: whatever the workload, selector,
 //! backfill policy, or fault pattern, a trace must obey its structural
 //! invariants — dense sequence numbers, non-decreasing virtual time,
-//! `place` immediately before each `start`, every `finish`/`requeue`
-//! closing a span that a `start` opened — and the in-memory [`Capture`]
-//! sink must render byte-identically to a streaming [`JsonlRecorder`].
+//! `place` immediately before each `start`, each `sa_search` immediately
+//! before the `place` it chose, every `finish`/`requeue` closing a span
+//! that a `start` opened — and the in-memory [`Capture`] sink must render
+//! byte-identically to a streaming [`JsonlRecorder`].
 
+use commsched::core::SaBudget;
 use commsched::metrics::Registry;
 use commsched::prelude::*;
 use commsched::slurmsim::FailurePolicy;
@@ -32,6 +34,16 @@ fn toy_log(seed: u64, pct: u8, jobs: usize) -> JobLog {
     .generate()
 }
 
+/// The paper's four selectors plus the annealed one, whose search
+/// statistics reach the trace through the placement.
+const SELECTORS: [SelectorKind; 5] = [
+    SelectorKind::Default,
+    SelectorKind::Greedy,
+    SelectorKind::Balanced,
+    SelectorKind::Adaptive,
+    SelectorKind::Sa,
+];
+
 fn engine_for(
     tree: &Tree,
     sel: usize,
@@ -39,8 +51,8 @@ fn engine_for(
     policy: usize,
     faults: Option<FaultTrace>,
 ) -> Engine<'_> {
-    let kind = SelectorKind::ALL[sel % SelectorKind::ALL.len()];
-    let mut cfg = EngineConfig::new(kind);
+    let kind = SELECTORS[sel % SELECTORS.len()];
+    let mut cfg = EngineConfig::new(kind).with_sa(SaBudget::with_evals(16), 1);
     cfg.backfill = [
         BackfillPolicy::None,
         BackfillPolicy::Easy,
@@ -72,8 +84,18 @@ fn mtbf_faults(seed: u64, log: &JobLog) -> Option<FaultTrace> {
     FaultTrace::mtbf(18, 30_000.0, 2_000.0, horizon, seed).ok()
 }
 
-/// The structural invariants every engine trace must satisfy.
-fn check_trace_invariants(events: &[Event]) {
+/// The structural invariants every engine trace must satisfy; `reg` is
+/// the run's registry, whose `sa.searches` counter must match the trace.
+fn check_trace_invariants(events: &[Event], reg: &Registry) {
+    let searches = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::SaSearch { .. }))
+        .count() as u64;
+    assert_eq!(
+        reg.counter_value("sa.searches").unwrap_or(0),
+        searches,
+        "sa.searches counter must count the sa_search events"
+    );
     let mut last_t = 0u64;
     // (job, attempt) spans opened by `start` and not yet closed.
     let mut open: Vec<(u64, u32)> = Vec::new();
@@ -100,6 +122,19 @@ fn check_trace_invariants(events: &[Event]) {
                     "span (job {job}, attempt {attempt}) started twice"
                 );
                 open.push((job, attempt));
+            }
+            EventKind::SaSearch { job, attempt, .. } => {
+                // The search chose the placement that follows it.
+                match events.get(i + 1).map(|e| e.kind) {
+                    Some(EventKind::JobPlace {
+                        job: pj,
+                        attempt: pa,
+                        ..
+                    }) => {
+                        assert_eq!((pj, pa), (job, attempt), "sa_search/place must pair up");
+                    }
+                    other => panic!("sa_search at seq {i} not followed by place: {other:?}"),
+                }
             }
             EventKind::JobFinish { job, attempt, .. } => {
                 let pos = open
@@ -133,7 +168,7 @@ proptest! {
     fn healthy_traces_are_well_formed(
         seed in any::<u64>(),
         pct in 0u8..=100,
-        sel in 0usize..4,
+        sel in 0usize..5,
         backfill in 0usize..3,
     ) {
         let tree = Tree::regular_two_level(3, 6);
@@ -142,7 +177,7 @@ proptest! {
         let mut cap = Capture::new();
         let mut reg = Registry::new();
         engine.run_observed(&log, &mut cap, &mut reg).expect("toy log fits");
-        check_trace_invariants(&cap.events);
+        check_trace_invariants(&cap.events, &reg);
     }
 
     /// Faulted runs: kills, requeues and retries must still produce
@@ -150,7 +185,7 @@ proptest! {
     #[test]
     fn faulted_traces_are_well_formed(
         seed in any::<u64>(),
-        sel in 0usize..4,
+        sel in 0usize..5,
         backfill in 0usize..3,
         policy in 0usize..3,
     ) {
@@ -161,7 +196,7 @@ proptest! {
         let mut cap = Capture::new();
         let mut reg = Registry::new();
         engine.run_observed(&log, &mut cap, &mut reg).expect("toy log fits");
-        check_trace_invariants(&cap.events);
+        check_trace_invariants(&cap.events, &reg);
     }
 
     /// The in-memory Capture and the streaming JSONL sink are two views of
@@ -169,7 +204,7 @@ proptest! {
     #[test]
     fn capture_and_jsonl_sinks_agree(
         seed in any::<u64>(),
-        sel in 0usize..4,
+        sel in 0usize..5,
         policy in 0usize..3,
     ) {
         let tree = Tree::regular_two_level(3, 6);
@@ -203,7 +238,7 @@ proptest! {
     #[test]
     fn tracing_never_changes_outcomes(
         seed in any::<u64>(),
-        sel in 0usize..4,
+        sel in 0usize..5,
         backfill in 0usize..3,
     ) {
         let tree = Tree::regular_two_level(3, 6);
